@@ -8,7 +8,8 @@ the median, and whether every run's digest line matched for equal seeds.
 
     python3 simbench/spread.py --seconds 20 --seeds 1-10 flood_epoch quorum_stream
 
-Run it from the repository root; it builds the benchmark first.
+Run it from the repository root. It runs the `command` of BENCHMARK.json,
+so the first run also builds the benchmark.
 """
 
 import argparse
@@ -17,8 +18,8 @@ import statistics
 import subprocess
 import sys
 
-COMMAND = ["env", "MALLOC_MMAP_THRESHOLD_=131072", "cargo", "run", "--release", "--quiet", "--offline",
-           "--manifest-path", "simbench/Cargo.toml", "--"]
+with open("BENCHMARK.json") as spec:
+    COMMAND = json.load(spec)["command"]
 
 
 def seeds(spec):
@@ -41,8 +42,6 @@ def main():
     ap.add_argument("--seeds", default="1-10")
     ap.add_argument("workloads", nargs="+")
     args = ap.parse_args()
-    subprocess.run(["cargo", "build", "--release", "--quiet", "--offline",
-                    "--manifest-path", "simbench/Cargo.toml"], check=True)
     for workload in args.workloads:
         values = {}
         failed = 0

@@ -2,8 +2,7 @@
 //!
 //! Prints an env block and run notes, then the result line: one JSON
 //! object with `correct`, `attempted`, `failed` and `metrics`. Exits with
-//! code 2 on a malformed command line or a thread plan the host cannot
-//! give.
+//! code 2 on a malformed command line.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -62,13 +61,6 @@ fn main() -> ExitCode {
     };
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let workers = kind.workers(cores);
-    if workers > cores {
-        eprintln!(
-            "simbench: {} wants {workers} threads but only {cores} cores are available",
-            kind.name()
-        );
-        return ExitCode::from(2);
-    }
     println!(
         "env: cores={cores} workers={workers} rustc=\"{}\" profile={} rev={}",
         env!("SIMBENCH_RUSTC"),

@@ -46,6 +46,15 @@ fn timed_adversary_leaves_every_outcome_unchanged() {
 }
 
 #[test]
+fn thread_plans_never_exceed_the_cores() {
+    for cores in 1..=64 {
+        assert_eq!(Kind::FloodEpoch.workers(cores), cores.min(2));
+        assert_eq!(Kind::HarmonicTrials.workers(cores), 1);
+        assert_eq!(Kind::QuorumStream.workers(cores), 1);
+    }
+}
+
+#[test]
 fn flood_epoch_matches_the_sequential_executor() {
     let w = Workload::setup(Kind::FloodEpoch, 3, Size::Small, 2);
     let reference = w.reference(0).expect("flood_epoch has a reference");
