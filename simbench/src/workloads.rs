@@ -97,6 +97,24 @@ impl Kind {
             Kind::HarmonicTrials | Kind::QuorumStream => 1,
         }
     }
+
+    /// How many passes the untraced run makes over its units. Pass 0 runs
+    /// new units for its share of the run; every later pass runs the same
+    /// units again, and a unit's host time is its fastest pass.
+    ///
+    /// `harmonic_trials` makes ten. Its trials are cache-resident, and on
+    /// a shared host each one runs in one of two speed regimes about 1.5×
+    /// apart that switch every few seconds, so the median of single
+    /// executions jumps with the share of the run spent in each. Passes
+    /// spread each trial's executions over the run. The other workloads'
+    /// units are memory-bound and steadier, and fewer distinct units would
+    /// widen their spread, so they make one pass.
+    pub fn passes(self) -> u32 {
+        match self {
+            Kind::HarmonicTrials => 10,
+            Kind::FloodEpoch | Kind::QuorumStream => 1,
+        }
+    }
 }
 
 /// Instance size: the benchmark's own, or a small one for tests.
@@ -499,7 +517,7 @@ fn bounded_cast(schedule: &TopologySchedule, n: usize) -> Vec<u32> {
 
 /// `quorum_stream`: a 32-payload batch stream with `PipelinedFlooding`
 /// and the quorum backend, on a churned `er_dual(1025)` with the
-/// equivocators of [`bounded_cast`], against
+/// equivocators of `bounded_cast`, against
 /// `WithRandomCr4(BurstyDelivery(0.15, 0.4))`. A unit is a fixed window of
 /// rounds of a fresh session, which must settle every payload within it.
 #[derive(Debug)]

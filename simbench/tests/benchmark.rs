@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use simbench::run::{run, RunArgs, END_TO_END, PER_LAYER};
 use simbench::trace::Tracer;
-use simbench::workloads::{Kind, Size, Workload};
+use simbench::workloads::{Kind, Size, Workload, DIGEST_UNITS};
 
 fn small(kind: Kind, seed: u64) -> RunArgs {
     RunArgs {
@@ -77,6 +77,33 @@ fn seeds_determine_graph_and_digest() {
         } else {
             assert_ne!(edges(11), edges(12), "{}: other seed", kind.name());
         }
+    }
+}
+
+#[test]
+fn later_passes_rerun_and_check_the_units() {
+    let report = run(&RunArgs {
+        seconds: Duration::from_secs(1),
+        ..small(Kind::HarmonicTrials, 9)
+    });
+    assert!(report.correct(), "{:?}", report.notes);
+    let units: u64 = report
+        .notes
+        .iter()
+        .find_map(|n| {
+            n.strip_prefix("samples: units=")?
+                .split(' ')
+                .next()?
+                .parse()
+                .ok()
+        })
+        .expect("a samples note");
+    assert!(units >= DIGEST_UNITS);
+    assert!(report.attempted > units, "{} executions", report.attempted);
+    assert!(report.attempted <= units * u64::from(Kind::HarmonicTrials.passes()));
+    for kind in [Kind::FloodEpoch, Kind::QuorumStream] {
+        assert_eq!(kind.passes(), 1);
+        assert_eq!(run(&small(kind, 9)).attempted, DIGEST_UNITS);
     }
 }
 
