@@ -111,6 +111,14 @@ pub struct DualGraph {
     /// in `G` — exactly the targets the adversary may grant or deny.
     /// Frozen into CSR form at construction.
     unreliable_only_csr: Csr,
+    /// `G′ ∖ G`'s **transpose**, frozen at construction — or `None` when
+    /// `G′ ∖ G` is symmetric, where the transpose *is* `unreliable_only_csr`
+    /// and no second copy is stored (see
+    /// [`DualGraph::unreliable_only_in_csr`]).
+    unreliable_only_in_csr: Option<Csr>,
+    /// The largest row of the `G′ ∖ G` transpose: the most
+    /// adversary-controlled in-edges of any node.
+    max_unreliable_in_degree: usize,
     /// Stable identities for the unreliable-only edges, aligned with the
     /// flat indices of `unreliable_only_csr` (see
     /// [`DualGraph::unreliable_edge_ids`]). `None` for a standalone graph,
@@ -179,19 +187,34 @@ impl DualGraph {
                 node: NodeId::from_index(unreached),
             });
         }
+        // `G ⊆ G′` (checked above), so `G′ ∖ G`'s out-row of `u` is the
+        // merge difference `total.out(u) ∖ reliable.out(u)`.
         let unreliable_only: Vec<Vec<NodeId>> = (0..reliable.node_count())
             .map(|u| {
                 let u = NodeId::from_index(u);
-                total
-                    .out_neighbors(u)
-                    .iter()
-                    .copied()
-                    .filter(|&v| !reliable.has_edge(u, v))
-                    .collect()
+                difference(total.out_neighbors(u), reliable.out_neighbors(u)).collect()
             })
             .collect();
         let n = reliable.node_count();
         let unreliable_only_csr = Csr::from_rows(n, |u| &unreliable_only[u.index()]);
+        // Likewise `G′ ∖ G`'s in-row of `u` is `total.in(u) ∖
+        // reliable.in(u)`, so one non-allocating merge pass over each
+        // node's own sorted rows decides whether the transpose equals the
+        // out-CSR and needs no storage of its own — the case for every
+        // undirected network.
+        let symmetric = (0..n).all(|u| {
+            let u = NodeId::from_index(u);
+            difference(total.in_neighbors(u), reliable.in_neighbors(u))
+                .eq(unreliable_only_csr.row(u).iter().copied())
+        });
+        let unreliable_only_in_csr = (!symmetric).then(|| unreliable_only_csr.transpose());
+        let max_unreliable_in_degree = (0..n)
+            .map(|u| {
+                let u = NodeId::from_index(u);
+                total.in_neighbors(u).len() - reliable.in_neighbors(u).len()
+            })
+            .max()
+            .unwrap_or(0);
         let reliable_csr = Csr::from_digraph(&reliable);
         let reliable_in_csr = Csr::from_rows(n, |u| reliable.in_neighbors(u));
         let total_csr = Csr::from_digraph(&total);
@@ -203,6 +226,8 @@ impl DualGraph {
             reliable_in_csr,
             total_csr,
             unreliable_only_csr,
+            unreliable_only_in_csr,
+            max_unreliable_in_degree,
             unreliable_edge_ids: None,
         })
     }
@@ -297,6 +322,30 @@ impl DualGraph {
     #[inline]
     pub fn unreliable_only_csr(&self) -> &Csr {
         &self.unreliable_only_csr
+    }
+
+    /// `G′ ∖ G` in-neighborhoods in frozen CSR form: row `v` is the sorted
+    /// set of nodes whose transmissions the adversary may deliver to `v`.
+    /// The sharded engine walks these rows to evaluate an oblivious
+    /// adversary's delivery oracle (`dualgraph_sim::Adversary::edge_oracle`)
+    /// receiver-side.
+    ///
+    /// Frozen at construction, and only when `G′ ∖ G` is not symmetric:
+    /// on a symmetric `G′ ∖ G` (every undirected network) this returns
+    /// [`DualGraph::unreliable_only_csr`] itself, so the graph is stored
+    /// once.
+    #[inline]
+    pub fn unreliable_only_in_csr(&self) -> &Csr {
+        self.unreliable_only_in_csr
+            .as_ref()
+            .unwrap_or(&self.unreliable_only_csr)
+    }
+
+    /// The largest in-degree in `G′ ∖ G`: the longest row of
+    /// [`DualGraph::unreliable_only_in_csr`].
+    #[inline]
+    pub fn max_unreliable_in_degree(&self) -> usize {
+        self.max_unreliable_in_degree
     }
 
     /// Stable identities of the unreliable-only edges, aligned with the
@@ -408,6 +457,15 @@ impl fmt::Debug for DualGraph {
     }
 }
 
+/// The set difference `all ∖ sub` of two sorted rows with `sub ⊆ all`,
+/// in ascending order: one merge, no lookups.
+fn difference<'a>(all: &'a [NodeId], sub: &'a [NodeId]) -> impl Iterator<Item = NodeId> + 'a {
+    let mut sub = sub.iter().peekable();
+    all.iter()
+        .copied()
+        .filter(move |w| sub.next_if_eq(&w).is_none())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,6 +570,65 @@ mod tests {
         // Undirected networks: in-rows equal out-rows.
         let sym = DualGraph::classical(line3(), v(0)).unwrap();
         assert_eq!(sym.reliable_in_csr(), sym.reliable_csr());
+    }
+
+    #[test]
+    fn unreliable_in_csr_is_the_transpose_stored_only_when_asymmetric() {
+        // Directed: one-way gray edges 0 -> 2, 0 -> 3, 1 -> 3.
+        let mut g = Digraph::new(4);
+        for i in 0..3 {
+            g.add_undirected_edge(v(i), v(i + 1));
+        }
+        let mut gp = g.clone();
+        gp.add_edge(v(0), v(2));
+        gp.add_edge(v(0), v(3));
+        gp.add_edge(v(1), v(3));
+        let directed = DualGraph::new(g.clone(), gp, v(0)).unwrap();
+        let transpose = directed.unreliable_only_csr().transpose();
+        assert_eq!(directed.unreliable_only_in_csr(), &transpose);
+        assert_eq!(directed.unreliable_only_in_csr().row(v(3)), &[v(0), v(1)]);
+        assert!(!std::ptr::eq(
+            directed.unreliable_only_in_csr(),
+            directed.unreliable_only_csr()
+        ));
+        assert_eq!(directed.max_unreliable_in_degree(), 2);
+
+        // Every upward edge reversed, plus one downward-only edge 3 -> 1.
+        let mut gp = g.clone();
+        gp.add_undirected_edge(v(0), v(2));
+        gp.add_edge(v(3), v(1));
+        let lopsided = DualGraph::new(g.clone(), gp, v(0)).unwrap();
+        assert_eq!(
+            lopsided.unreliable_only_in_csr(),
+            &lopsided.unreliable_only_csr().transpose()
+        );
+        assert!(!std::ptr::eq(
+            lopsided.unreliable_only_in_csr(),
+            lopsided.unreliable_only_csr()
+        ));
+
+        // Symmetric G' \ G: the transpose is the out-CSR, stored once.
+        let mut gp = g.clone();
+        gp.add_undirected_edge(v(0), v(2));
+        gp.add_undirected_edge(v(0), v(3));
+        let undirected = DualGraph::new(g, gp, v(0)).unwrap();
+        assert_eq!(
+            undirected.unreliable_only_in_csr(),
+            &undirected.unreliable_only_csr().transpose()
+        );
+        assert!(std::ptr::eq(
+            undirected.unreliable_only_in_csr(),
+            undirected.unreliable_only_csr()
+        ));
+        assert_eq!(undirected.max_unreliable_in_degree(), 2);
+
+        // Classical: empty G' \ G, trivially symmetric.
+        let classical = DualGraph::classical(line3(), v(0)).unwrap();
+        assert!(std::ptr::eq(
+            classical.unreliable_only_in_csr(),
+            classical.unreliable_only_csr()
+        ));
+        assert_eq!(classical.max_unreliable_in_degree(), 0);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::collision::Cr4Resolution;
 use crate::message::{Message, ProcessId};
+use crate::rng::{self, Bernoulli};
 
 /// A bijection between graph nodes and processes (the `proc` mapping).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,8 +164,180 @@ pub trait Adversary {
         Cr4Resolution::Silence
     }
 
+    /// The adversary's counter-based delivery oracle, if it is
+    /// **oblivious**: its choices a pure function of (seed, round, edge
+    /// or node), independent of the execution. Default: `None`, and the
+    /// engines consult the two methods above on the coordinator.
+    ///
+    /// Returning `Some(oracle)` is a promise the sharded engine relies on
+    /// to evaluate deliveries receiver-side, inside its shards, without
+    /// calling [`Adversary::unreliable_deliveries`] at all:
+    ///
+    /// * `unreliable_deliveries(ctx, u, out)` appends exactly the `v` of
+    ///   `ctx.network.unreliable_only_out(u)`, in row order, for which
+    ///   `oracle.round(ctx.round).delivers(u, v)` holds;
+    /// * whenever `oracle.round(ctx.round).resolve_cr4(node, reaching.len())`
+    ///   is `Some(r)` (any [`Cr4Oracle`] but `Adversary`), `resolve_cr4`
+    ///   returns `r`;
+    /// * neither call changes state that a later call depends on, so
+    ///   skipping them changes nothing.
+    ///
+    /// The differential suites check all three against the sequential
+    /// engine and the reference executor.
+    fn edge_oracle(&self) -> Option<EdgeOracle> {
+        None
+    }
+
     /// Clones the adversary in its current state (for execution replay).
     fn clone_box(&self) -> Box<dyn Adversary>;
+}
+
+/// How an oracle-driven round resolves CR4 collisions (see
+/// [`EdgeOracle`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cr4Oracle {
+    /// Every CR4 collision resolves to silence (the trait's default
+    /// `resolve_cr4`).
+    Silence,
+    /// A counter-based fair coin: silence with probability 1/2, else a
+    /// uniformly random reaching message — a pure function of (seed,
+    /// round, node).
+    Coin,
+    /// The adversary's own [`Adversary::resolve_cr4`], called on the
+    /// coordinator in ascending node order (a stateful CR4 stream, e.g.
+    /// [`WithRandomCr4`]'s).
+    Adversary,
+}
+
+/// An oblivious adversary's choices as pure functions of (seed, round,
+/// edge or node): a counter-based per-edge delivery test and a
+/// [`Cr4Oracle`]. Returned by [`Adversary::edge_oracle`].
+///
+/// Decisions key on the directed pair `(u, v)` of node ids — not on CSR
+/// positions — so they follow the edge across the epoch swaps of a
+/// [`TopologySchedule`][dualgraph_net::TopologySchedule].
+///
+/// # Examples
+///
+/// ```
+/// use dualgraph_net::NodeId;
+/// use dualgraph_sim::{Adversary, EdgeOracle, RandomDelivery};
+///
+/// let oracle = RandomDelivery::new(0.5, 7).edge_oracle().unwrap();
+/// let round = oracle.round(3);
+/// assert_eq!(round.delivers(NodeId(0), NodeId(5)), round.delivers(NodeId(0), NodeId(5)));
+/// assert!(!EdgeOracle::NEVER.round(3).delivers(NodeId(0), NodeId(5)));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EdgeOracle {
+    seed: u64,
+    delivery: Bernoulli,
+    cr4: Cr4Oracle,
+}
+
+impl EdgeOracle {
+    /// Delivers nothing; CR4 collisions resolve to silence
+    /// ([`ReliableOnly`]).
+    pub const NEVER: EdgeOracle = EdgeOracle {
+        seed: 0,
+        delivery: Bernoulli::NEVER,
+        cr4: Cr4Oracle::Silence,
+    };
+
+    /// Delivers every edge; CR4 collisions resolve to silence
+    /// ([`FullDelivery`]).
+    pub const ALWAYS: EdgeOracle = EdgeOracle {
+        seed: 0,
+        delivery: Bernoulli::ALWAYS,
+        cr4: Cr4Oracle::Silence,
+    };
+
+    /// Each edge delivers independently with probability `p` each round;
+    /// CR4 collisions flip the counter-based fair coin. All keyed by
+    /// `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `[0, 1]`.
+    pub fn bernoulli(p: f64, seed: u64) -> Self {
+        EdgeOracle {
+            seed,
+            delivery: Bernoulli::new(p),
+            cr4: Cr4Oracle::Coin,
+        }
+    }
+
+    /// The same deliveries with CR4 collisions resolved by `cr4`.
+    pub fn with_cr4(self, cr4: Cr4Oracle) -> Self {
+        EdgeOracle { cr4, ..self }
+    }
+
+    /// The oracle for global round `round`, its keys precomputed.
+    #[inline]
+    pub fn round(&self, round: u64) -> RoundOracle {
+        let key = rng::round_key(self.seed, round);
+        RoundOracle {
+            edge_key: key,
+            cr4_key: rng::splitmix64(key),
+            delivery: self.delivery,
+            cr4: self.cr4,
+        }
+    }
+}
+
+/// One round of an [`EdgeOracle`]: cheap to copy into every shard.
+#[derive(Debug, Clone, Copy)]
+pub struct RoundOracle {
+    edge_key: u64,
+    cr4_key: u64,
+    delivery: Bernoulli,
+    cr4: Cr4Oracle,
+}
+
+impl RoundOracle {
+    /// Whether `u`'s transmission reaches its unreliable-only
+    /// out-neighbor `v` this round.
+    #[inline]
+    pub fn delivers(&self, u: NodeId, v: NodeId) -> bool {
+        rng::edge_delivers(self.edge_key, u.0, v.0, self.delivery)
+    }
+
+    /// Appends the targets of `sender`'s unreliable-only row that deliver
+    /// this round, in row order: the sender-side evaluation
+    /// [`Adversary::unreliable_deliveries`] implementations delegate to.
+    #[inline]
+    pub fn deliveries(&self, network: &DualGraph, sender: NodeId, out: &mut Vec<NodeId>) {
+        let row = network.unreliable_only_out(sender);
+        if self.delivery.is_always() {
+            out.extend_from_slice(row);
+        } else if !self.delivery.is_never() {
+            // Branch-free append (a filtering `if` mispredicts on half the
+            // edges at p = 1/2): write every slot, advance by the hit bit.
+            let start = out.len();
+            out.resize(start + row.len(), sender);
+            let mut k = start;
+            for &v in row {
+                out[k] = v;
+                k += usize::from(self.delivers(sender, v));
+            }
+            out.truncate(k);
+        }
+    }
+
+    /// The CR4 resolution at `node` over `len ≥ 2` reaching messages, or
+    /// `None` when the adversary's own `resolve_cr4` decides
+    /// ([`Cr4Oracle::Adversary`]).
+    #[inline]
+    pub fn resolve_cr4(&self, node: NodeId, len: usize) -> Option<Cr4Resolution> {
+        match self.cr4 {
+            Cr4Oracle::Silence => Some(Cr4Resolution::Silence),
+            Cr4Oracle::Coin => Some(match rng::cr4_pick(self.cr4_key, node.0, len) {
+                None => Cr4Resolution::Silence,
+                Some(i) => Cr4Resolution::Deliver(i),
+            }),
+            Cr4Oracle::Adversary => None,
+        }
+    }
 }
 
 impl Clone for Box<dyn Adversary> {
@@ -200,6 +373,10 @@ impl Adversary for ReliableOnly {
     ) {
     }
 
+    fn edge_oracle(&self) -> Option<EdgeOracle> {
+        Some(EdgeOracle::NEVER)
+    }
+
     fn clone_box(&self) -> Box<dyn Adversary> {
         Box::new(self.clone())
     }
@@ -227,6 +404,10 @@ impl Adversary for FullDelivery {
         out.extend_from_slice(ctx.network.unreliable_only_out(sender));
     }
 
+    fn edge_oracle(&self) -> Option<EdgeOracle> {
+        Some(EdgeOracle::ALWAYS)
+    }
+
     fn clone_box(&self) -> Box<dyn Adversary> {
         Box::new(self.clone())
     }
@@ -235,9 +416,9 @@ impl Adversary for FullDelivery {
 /// Draws one geometric "gap" — the number of Bernoulli(`p`) failures
 /// before the next success — via [`crate::rng::geometric_gap_from_bits`]
 /// (the shared inversion formula). One RNG draw per *success* instead of
-/// one per trial: the batched samplers below skip straight to the next
-/// delivering edge (or the next link flip) with it. The degenerate `p`s
-/// are guarded *before* drawing, so they consume no stream.
+/// one per trial: the bursty link chains below skip straight to the next
+/// link flip with it. The degenerate `p`s are guarded *before* drawing,
+/// so they consume no stream.
 #[inline]
 fn geometric_gap(rng: &mut SmallRng, p: f64) -> u64 {
     if p <= 0.0 {
@@ -249,24 +430,6 @@ fn geometric_gap(rng: &mut SmallRng, p: f64) -> u64 {
     crate::rng::geometric_gap_from_bits(rng.next_u64(), p)
 }
 
-/// How [`RandomDelivery`] samples its per-edge Bernoulli decisions.
-#[derive(Debug, Clone)]
-enum DeliverySampler {
-    /// Geometric skip sampling over the concatenated `G′ ∖ G` CSR rows:
-    /// the sampler keeps the distance to the next delivering edge and
-    /// leaps there directly, consuming one RNG draw per *delivery*
-    /// instead of one per edge. `gap` persists across rows (the Bernoulli
-    /// stream is over edge visits, not rows), so sparse rows cost nothing.
-    Skip {
-        /// Edges still to skip before the next delivery (`None` until the
-        /// first row primes the stream).
-        gap: Option<u64>,
-    },
-    /// One raw `u64` draw per edge against an integer threshold — the
-    /// PR 1/PR 2 draw semantics, frozen for baseline comparisons.
-    PerEdge,
-}
-
 /// Each unreliable edge delivers independently with probability `p` each
 /// round; CR4 collisions resolve to silence with probability 1/2, else to a
 /// uniformly random reaching message.
@@ -274,38 +437,44 @@ enum DeliverySampler {
 /// This is the i.i.d. link-flap model of gray zones; deterministic in the
 /// seed.
 ///
-/// Sampling backends (identical delivery *distribution*, different seeded
+/// Backends (identical delivery *distribution*, different seeded
 /// streams):
 ///
-/// * [`RandomDelivery::new`] — **geometric skip sampling**: one draw per
-///   delivered edge (`≈ p · |row|` draws) instead of one per edge, the
-///   batched sampler that cuts the adversary RNG residue on trial
-///   workloads;
+/// * [`RandomDelivery::new`] — **counter-based**: every decision is a pure
+///   function of (seed, round, edge) or (seed, round, node) (see
+///   [`EdgeOracle::bernoulli`]). The adversary is
+///   [oblivious][Adversary::edge_oracle], so the sharded engine evaluates
+///   its deliveries receiver-side inside the shards;
 /// * [`RandomDelivery::per_edge`] — the frozen PR 1/PR 2 sampler (one
-///   draw per edge against a precomputed integer threshold; `p = 1`
-///   delivers everything without consuming draws), kept for
-///   frozen-baseline comparisons and historical seed reproducibility.
+///   stateful draw per edge against a precomputed integer threshold;
+///   `p = 1` delivers everything without consuming draws), kept for
+///   historical seed reproducibility. Its stream depends on call order, so
+///   it takes the coordinator path.
 #[derive(Debug, Clone)]
 pub struct RandomDelivery {
-    p: f64,
-    /// Integer acceptance threshold for the per-edge sampler: an edge
-    /// delivers when a raw `u64` draw falls below it.
-    threshold: u64,
-    rng: SmallRng,
-    sampler: DeliverySampler,
+    backend: DeliveryBackend,
+}
+
+/// How [`RandomDelivery`] makes its per-edge Bernoulli decisions.
+#[derive(Debug, Clone)]
+enum DeliveryBackend {
+    /// Counter-based: see [`EdgeOracle`].
+    Oracle(EdgeOracle),
+    /// One raw `u64` draw per edge from a stateful stream, tested against
+    /// `delivery`; CR4 coins come from the same stream.
+    PerEdge { delivery: Bernoulli, rng: SmallRng },
 }
 
 impl RandomDelivery {
     /// Creates the adversary with per-edge delivery probability `p`, using
-    /// the batched geometric-skip sampler.
+    /// the counter-based oracle.
     ///
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
     pub fn new(p: f64, seed: u64) -> Self {
         RandomDelivery {
-            sampler: DeliverySampler::Skip { gap: None },
-            ..Self::per_edge(p, seed)
+            backend: DeliveryBackend::Oracle(EdgeOracle::bernoulli(p, seed)),
         }
     }
 
@@ -316,12 +485,11 @@ impl RandomDelivery {
     ///
     /// Panics if `p` is not in `[0, 1]`.
     pub fn per_edge(p: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability must lie in [0,1]");
         RandomDelivery {
-            p,
-            threshold: (p * (u64::MAX as f64 + 1.0)) as u64,
-            rng: SmallRng::seed_from_u64(seed),
-            sampler: DeliverySampler::PerEdge,
+            backend: DeliveryBackend::PerEdge {
+                delivery: Bernoulli::new(p),
+                rng: SmallRng::seed_from_u64(seed),
+            },
         }
     }
 }
@@ -333,50 +501,50 @@ impl Adversary for RandomDelivery {
         sender: NodeId,
         out: &mut Vec<NodeId>,
     ) {
-        let row = ctx.network.unreliable_only_out(sender);
-        if self.p >= 1.0 {
-            // `x < threshold` would lose the x == u64::MAX draw.
-            out.extend_from_slice(row);
-            return;
-        }
-        match &mut self.sampler {
-            DeliverySampler::PerEdge => {
+        match &mut self.backend {
+            DeliveryBackend::Oracle(oracle) => {
+                oracle.round(ctx.round).deliveries(ctx.network, sender, out);
+            }
+            DeliveryBackend::PerEdge { delivery, rng } => {
+                let row = ctx.network.unreliable_only_out(sender);
+                if delivery.is_always() {
+                    out.extend_from_slice(row);
+                    return;
+                }
                 for &v in row {
-                    if self.rng.next_u64() < self.threshold {
+                    if delivery.accepts(rng.next_u64()) {
                         out.push(v);
                     }
                 }
-            }
-            DeliverySampler::Skip { gap } => {
-                if self.p <= 0.0 {
-                    return;
-                }
-                let len = row.len() as u64;
-                let mut pos = match *gap {
-                    Some(g) => g,
-                    None => geometric_gap(&mut self.rng, self.p),
-                };
-                while pos < len {
-                    out.push(row[pos as usize]);
-                    pos = pos
-                        .saturating_add(1)
-                        .saturating_add(geometric_gap(&mut self.rng, self.p));
-                }
-                *gap = Some(pos - len);
             }
         }
     }
 
     fn resolve_cr4(
         &mut self,
-        _ctx: &RoundContext<'_>,
-        _node: NodeId,
+        ctx: &RoundContext<'_>,
+        node: NodeId,
         reaching: &[Message],
     ) -> Cr4Resolution {
-        if self.rng.gen_bool(0.5) {
-            Cr4Resolution::Silence
-        } else {
-            Cr4Resolution::Deliver(self.rng.gen_range(0..reaching.len()))
+        match &mut self.backend {
+            DeliveryBackend::Oracle(oracle) => oracle
+                .round(ctx.round)
+                .resolve_cr4(node, reaching.len())
+                .unwrap_or(Cr4Resolution::Silence),
+            DeliveryBackend::PerEdge { rng, .. } => {
+                if rng.gen_bool(0.5) {
+                    Cr4Resolution::Silence
+                } else {
+                    Cr4Resolution::Deliver(rng.gen_range(0..reaching.len()))
+                }
+            }
+        }
+    }
+
+    fn edge_oracle(&self) -> Option<EdgeOracle> {
+        match self.backend {
+            DeliveryBackend::Oracle(oracle) => Some(oracle),
+            DeliveryBackend::PerEdge { .. } => None,
         }
     }
 
@@ -692,6 +860,10 @@ impl<A: Adversary + Clone + 'static> Adversary for WithAssignment<A> {
         self.inner.resolve_cr4(ctx, node, reaching)
     }
 
+    fn edge_oracle(&self) -> Option<EdgeOracle> {
+        self.inner.edge_oracle()
+    }
+
     fn clone_box(&self) -> Box<dyn Adversary> {
         Box::new(self.clone())
     }
@@ -749,6 +921,14 @@ impl<A: Adversary + Clone + 'static> Adversary for WithRandomCr4<A> {
         } else {
             Cr4Resolution::Deliver(self.rng.gen_range(0..reaching.len()))
         }
+    }
+
+    /// Forwards the inner delivery oracle; CR4 choices stay with this
+    /// wrapper's stateful coin on the coordinator.
+    fn edge_oracle(&self) -> Option<EdgeOracle> {
+        self.inner
+            .edge_oracle()
+            .map(|o| o.with_cr4(Cr4Oracle::Adversary))
     }
 
     fn clone_box(&self) -> Box<dyn Adversary> {
@@ -889,18 +1069,16 @@ mod tests {
     }
 
     #[test]
-    fn skip_sampler_matches_per_edge_distribution() {
-        // Distributional regression for the batched geometric-skip
-        // sampler: same empirical per-edge delivery rate as the frozen
-        // per-edge sampler, across the p range (including the chatter
-        // workload's p = 0.5 and skip-friendly small p).
+    fn random_delivery_rate_tracks_p() {
+        // Same empirical per-edge delivery rate for the counter-based
+        // oracle and the frozen per-edge sampler, across the p range.
         let net = generators::line(40, 39);
         for p in [0.03, 0.2, 0.5, 0.9] {
             let rounds = 4_000;
-            let skip = empirical_rate(&mut RandomDelivery::new(p, 11), &net, rounds);
+            let oracle = empirical_rate(&mut RandomDelivery::new(p, 11), &net, rounds);
             let per_edge = empirical_rate(&mut RandomDelivery::per_edge(p, 12), &net, rounds);
             // ~156k Bernoulli trials per series: 3 sigma is well under 0.01.
-            assert!((skip - p).abs() < 0.01, "skip p={p}: rate {skip}");
+            assert!((oracle - p).abs() < 0.01, "oracle p={p}: rate {oracle}");
             assert!(
                 (per_edge - p).abs() < 0.01,
                 "per-edge p={p}: rate {per_edge}"
@@ -909,34 +1087,139 @@ mod tests {
     }
 
     #[test]
-    fn skip_sampler_gap_spans_rows() {
-        // The skip state persists across rows: total deliveries over many
-        // *short* rows must still hit rate p (a per-row re-prime would
-        // bias short rows toward zero or double-count draws).
-        let net = generators::line(30, 2); // rows of <= 2 unreliable edges
-        let p = 0.3;
-        let assignment = Assignment::identity(30);
-        let informed = FixedBitSet::new(30);
-        let mut adv = RandomDelivery::new(p, 5);
+    fn sender_and_receiver_side_oracle_agree_on_every_edge() {
+        // The sequential engine asks the adversary sender by sender; the
+        // sharded engine evaluates the oracle over receivers' in-rows.
+        // Both must select the same directed edges, round after round —
+        // on a directed network, where the in-rows are a stored transpose.
+        let net = one_way_gray(60, 4);
+        assert!(!std::ptr::eq(
+            net.unreliable_only_in_csr(),
+            net.unreliable_only_csr()
+        ));
+        let assignment = Assignment::identity(net.len());
+        let informed = FixedBitSet::new(net.len());
+        let mut adv = RandomDelivery::new(0.5, 17);
+        let oracle = adv.edge_oracle().unwrap();
         let mut delivered = 0usize;
-        let mut total = 0usize;
-        for round in 1..=3_000u64 {
-            for u in 0..30 {
-                let sender = NodeId(u);
-                let senders = [(sender, Message::signal(ProcessId(u)))];
-                let ctx = RoundContext {
-                    round,
-                    network: &net,
-                    assignment: &assignment,
-                    senders: &senders,
-                    informed: &informed,
-                };
-                total += net.unreliable_only_out(sender).len();
-                delivered += deliveries(&mut adv, &ctx, sender).len();
+        for round in 1..=50 {
+            let ctx = RoundContext {
+                round,
+                network: &net,
+                assignment: &assignment,
+                senders: &[],
+                informed: &informed,
+            };
+            let mut sender_side = Vec::new();
+            for u in net.nodes() {
+                for v in deliveries(&mut adv, &ctx, u) {
+                    sender_side.push((u, v));
+                }
+            }
+            let at = oracle.round(round);
+            let mut receiver_side = Vec::new();
+            for v in net.nodes() {
+                for &u in net.unreliable_only_in_csr().row(v) {
+                    if at.delivers(u, v) {
+                        receiver_side.push((u, v));
+                    }
+                }
+            }
+            receiver_side.sort_unstable();
+            assert_eq!(sender_side, receiver_side, "round {round}");
+            delivered += sender_side.len();
+        }
+        assert!(delivered > 0);
+    }
+
+    #[test]
+    fn oracle_extremes_are_exact() {
+        let net = generators::line(12, 11);
+        let assignment = Assignment::identity(12);
+        let informed = FixedBitSet::new(12);
+        let senders = [(NodeId(0), Message::signal(ProcessId(0)))];
+        let row = net.unreliable_only_out(NodeId(0)).to_vec();
+        for round in 1..=50 {
+            let ctx = RoundContext {
+                round,
+                ..ctx_fixture(&net, &assignment, &senders, &informed)
+            };
+            assert!(deliveries(&mut RandomDelivery::new(0.0, round), &ctx, NodeId(0)).is_empty());
+            assert_eq!(
+                deliveries(&mut RandomDelivery::new(1.0, round), &ctx, NodeId(0)),
+                row
+            );
+        }
+        assert_eq!(ReliableOnly::new().edge_oracle(), Some(EdgeOracle::NEVER));
+        assert_eq!(FullDelivery::new().edge_oracle(), Some(EdgeOracle::ALWAYS));
+        assert!(!EdgeOracle::NEVER.round(3).delivers(NodeId(0), NodeId(1)));
+        assert!(EdgeOracle::ALWAYS.round(3).delivers(NodeId(0), NodeId(1)));
+        // Stateful and adaptive adversaries keep the coordinator path.
+        assert!(RandomDelivery::per_edge(0.5, 1).edge_oracle().is_none());
+        assert!(BurstyDelivery::new(0.3, 0.3, 1).edge_oracle().is_none());
+        assert!(CollisionSeeker::new().edge_oracle().is_none());
+    }
+
+    #[test]
+    fn oracle_cr4_matches_resolve_cr4_and_survives_wrappers() {
+        let net = generators::line(6, 5);
+        let assignment = Assignment::identity(6);
+        let informed = FixedBitSet::new(6);
+        let reaching = [Message::signal(ProcessId(0)); 3];
+        let mut adv = RandomDelivery::new(0.5, 8);
+        let oracle = adv.edge_oracle().unwrap();
+        for round in 1..=200 {
+            let ctx = RoundContext {
+                round,
+                ..ctx_fixture(&net, &assignment, &[], &informed)
+            };
+            let node = NodeId((round % 6) as u32);
+            let r = adv.resolve_cr4(&ctx, node, &reaching);
+            // The adversary's answer is the oracle's, on any call order
+            // (the coin's distribution is tested in `rng.rs`).
+            assert_eq!(Some(r), oracle.round(round).resolve_cr4(node, 3));
+        }
+        // WithRandomCr4 keeps the deliveries but not the coin.
+        let wrapped = WithRandomCr4::new(RandomDelivery::new(0.5, 8), 1)
+            .edge_oracle()
+            .unwrap();
+        assert_eq!(wrapped.round(4).resolve_cr4(NodeId(0), 3), None);
+        assert_eq!(wrapped.with_cr4(Cr4Oracle::Coin), oracle);
+        let assigned =
+            WithAssignment::new(RandomDelivery::new(0.5, 8), (0..6).map(ProcessId).collect());
+        assert_eq!(assigned.edge_oracle(), Some(oracle));
+    }
+
+    #[test]
+    fn oracle_decisions_follow_edge_identity_across_epochs() {
+        // The surviving gray edge (0,3) moves from CSR position 1 to 0 of
+        // node 0's row across the swap; its decisions key on the (u, v)
+        // pair, so they match a run that never swapped.
+        let a = path4(&[(0, 2), (0, 3)]);
+        let b = path4(&[(0, 3), (1, 3)]);
+        let schedule = dualgraph_net::TopologySchedule::new(vec![
+            dualgraph_net::Epoch::new(a.clone(), 6),
+            dualgraph_net::Epoch::new(b.clone(), 6),
+        ])
+        .unwrap();
+        let swapped = bursty_rounds(
+            &mut RandomDelivery::new(0.5, 21),
+            schedule.epoch(0).network(),
+            schedule.epoch(1).network(),
+            7,
+            40,
+        );
+        let only_a = bursty_rounds(&mut RandomDelivery::new(0.5, 21), &a, &a, 1, 40);
+        let has = |d: &[u32], v: u32| d.contains(&v);
+        for (round, (s, o)) in swapped.iter().zip(&only_a).enumerate() {
+            assert_eq!(has(s, 3), has(o, 3), "edge (0,3), round {}", round + 1);
+            if round < 6 {
+                assert_eq!(s, o);
+            } else {
+                assert!(!has(s, 2));
             }
         }
-        let rate = delivered as f64 / total as f64;
-        assert!((rate - p).abs() < 0.01, "rate {rate} for p={p}");
+        assert!(only_a.iter().any(|d| has(d, 3)) && only_a.iter().any(|d| !has(d, 3)));
     }
 
     #[test]
@@ -961,28 +1244,6 @@ mod tests {
         assert_eq!(
             pattern,
             vec![vec![2, 4, 5], vec![4, 5, 6, 7, 8], vec![4, 5]]
-        );
-    }
-
-    #[test]
-    fn skip_sampler_deterministic_and_extreme() {
-        let net = generators::line(12, 11);
-        let assignment = Assignment::identity(12);
-        let informed = FixedBitSet::new(12);
-        let senders = [(NodeId(0), Message::signal(ProcessId(0)))];
-        let ctx = ctx_fixture(&net, &assignment, &senders, &informed);
-        let mut a = RandomDelivery::new(0.4, 7);
-        let mut b = RandomDelivery::new(0.4, 7);
-        for _ in 0..20 {
-            assert_eq!(
-                deliveries(&mut a, &ctx, NodeId(0)),
-                deliveries(&mut b, &ctx, NodeId(0))
-            );
-        }
-        assert!(deliveries(&mut RandomDelivery::new(0.0, 1), &ctx, NodeId(0)).is_empty());
-        assert_eq!(
-            deliveries(&mut RandomDelivery::new(1.0, 1), &ctx, NodeId(0)).len(),
-            net.unreliable_only_out(NodeId(0)).len()
         );
     }
 
@@ -1068,6 +1329,28 @@ mod tests {
         }
     }
 
+    /// A directed dual graph: an undirected path as `G` plus up to three
+    /// one-way gray edges per node, so `G′ ∖ G` is not symmetric.
+    fn one_way_gray(n: usize, seed: u64) -> DualGraph {
+        let mut g = dualgraph_net::Digraph::new(n);
+        for i in 1..n {
+            g.add_undirected_edge(NodeId::from_index(i - 1), NodeId::from_index(i));
+        }
+        let mut total = g.clone();
+        let mut h = seed;
+        for u in 0..n {
+            for _ in 0..3 {
+                h = crate::rng::splitmix64(h);
+                let v = (h % n as u64) as usize;
+                let (u, v) = (NodeId::from_index(u), NodeId::from_index(v));
+                if u != v && !g.has_edge(u, v) {
+                    total.add_edge(u, v);
+                }
+            }
+        }
+        DualGraph::new(g, total, NodeId(0)).unwrap()
+    }
+
     /// A 4-node path dual graph with the given extra (gray) undirected
     /// pairs.
     fn path4(extra: &[(u32, u32)]) -> DualGraph {
@@ -1084,8 +1367,8 @@ mod tests {
 
     /// Queries node 0's deliveries over `rounds`, switching the context
     /// network at `switch_round` (exclusive before, inclusive from).
-    fn bursty_rounds(
-        adv: &mut BurstyDelivery,
+    fn bursty_rounds<A: Adversary>(
+        adv: &mut A,
         before: &DualGraph,
         after: &DualGraph,
         switch_round: u64,

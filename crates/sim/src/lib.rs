@@ -93,8 +93,9 @@ mod slot;
 mod trace;
 
 pub use adversary::{
-    Adversary, Assignment, BuildAssignmentError, BurstyDelivery, CollisionSeeker, FullDelivery,
-    RandomDelivery, ReliableOnly, RoundContext, WithAssignment, WithRandomCr4,
+    Adversary, Assignment, BuildAssignmentError, BurstyDelivery, CollisionSeeker, Cr4Oracle,
+    EdgeOracle, FullDelivery, RandomDelivery, ReliableOnly, RoundContext, RoundOracle,
+    WithAssignment, WithRandomCr4,
 };
 pub use collision::{resolve, CollisionRule, Cr4Resolution, Reception};
 pub use dynamics::{DynamicExecutor, DynamicsCursor, FaultEvent, FaultPlan, FaultView, NodeRole};

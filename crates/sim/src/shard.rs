@@ -9,11 +9,17 @@
 //! of worker count**, including traces. The determinism argument:
 //!
 //! * **No shard-level randomness.** Every random draw is either owned by a
-//!   process (node-local, untouched by partitioning) or by the adversary —
-//!   and every adversary call ([`Adversary::unreliable_deliveries`] per
-//!   sender, [`Adversary::resolve_cr4`] per collided node) happens on the
+//!   process (node-local, untouched by partitioning) or by the adversary.
+//!   An oblivious adversary exposes an [`EdgeOracle`]
+//!   ([`Adversary::edge_oracle`]): its deliveries and CR4 coins are pure
+//!   functions of (seed, round, edge or node), so each shard evaluates
+//!   them for its own receivers — walking their `G′ ∖ G` in-rows — in any
+//!   order, and gets exactly what the sequential engine gets by asking the
+//!   adversary sender by sender. Every other adversary call
+//!   ([`Adversary::unreliable_deliveries`] per sender,
+//!   [`Adversary::resolve_cr4`] per collided node) happens on the
 //!   coordinator, in ascending node order, exactly as in the sequential
-//!   engine. Shard count never enters any RNG stream.
+//!   engine. Shard count never enters any random decision.
 //! * **Merges in shard order are merges in node order.** Shards are
 //!   contiguous ascending ranges, so concatenating per-shard sender
 //!   buffers / newly-informed lists in shard order reproduces the
@@ -22,7 +28,7 @@
 //!   `receive_chunk` body the sequential sweeps run (see `slot.rs`), and
 //!   the receiver-side resolve below recomputes the sequential engine's
 //!   per-node reaching set — ascending sender order, self/`G`-row/extras —
-//!   from the transpose CSR, so per-node results agree element-wise.
+//!   from the transpose CSRs, so per-node results agree element-wise.
 //! * **Disjoint writes.** Shard boundaries are multiples of 64, so the
 //!   `informed` bitset splits into whole disjoint `u64` words; all other
 //!   per-node state splits by `chunks_mut`. The only cross-shard
@@ -35,11 +41,13 @@
 //!
 //! [`Adversary::unreliable_deliveries`]: crate::Adversary::unreliable_deliveries
 //! [`Adversary::resolve_cr4`]: crate::Adversary::resolve_cr4
+//! [`Adversary::edge_oracle`]: crate::Adversary::edge_oracle
+//! [`EdgeOracle`]: crate::EdgeOracle
 
 use dualgraph_net::{Csr, NodeId, ShardPlan};
 
-use crate::adversary::RoundContext;
-use crate::collision::{self, CollisionRule, Reception};
+use crate::adversary::{RoundContext, RoundOracle};
+use crate::collision::{self, CollisionRule, Cr4Resolution, Reception};
 use crate::dynamics::{FaultView, NodeRole};
 use crate::engine::{BroadcastOutcome, Executor, RoundSummary};
 use crate::message::Message;
@@ -96,6 +104,11 @@ pub struct ShardedExecutor<'a> {
     /// (ascending sender-index order, the historical order
     /// [`Adversary::resolve_cr4`][crate::Adversary::resolve_cr4] sees).
     cr4_idx: Vec<Vec<u32>>,
+    /// Per-shard scratch for one receiver's oracle-resolved adversary
+    /// extras (sender indices, ascending). Sized to the largest
+    /// unreliable in-degree, so the resolve loop writes every in-row slot
+    /// without growing it.
+    extra_bufs: Vec<Vec<u32>>,
     /// Per-shard physical-collision counts; summed at the barrier.
     collision_counts: Vec<u64>,
 }
@@ -110,7 +123,6 @@ impl<'a> ShardedExecutor<'a> {
         let plan = ShardPlan::new(n, workers);
         let shards = plan.shards();
         ShardedExecutor {
-            exec,
             plan,
             own_idx: vec![NONE; n],
             own_set: Vec::new(),
@@ -118,7 +130,9 @@ impl<'a> ShardedExecutor<'a> {
             newly_bufs: vec![Vec::new(); shards],
             cr4_jobs: vec![Vec::new(); shards],
             cr4_idx: vec![Vec::new(); shards],
+            extra_bufs: vec![vec![NONE; exec.network().max_unreliable_in_degree()]; shards],
             collision_counts: vec![0; shards],
+            exec,
         }
     }
 
@@ -215,90 +229,33 @@ impl<'a> ShardedExecutor<'a> {
             self.own_set.push(u.index() as u32);
         }
 
-        // Phase 2a (coordinator): adversary deliveries, one call per
-        // sender in node order — the call order every seeded adversary's
-        // RNG stream depends on. Identical to the sequential engine.
-        self.exec.extra_flat.clear();
-        self.exec.extra_ranges.clear();
-        {
-            let Executor {
-                network,
-                adversary,
-                assignment,
-                informed,
-                senders_buf,
-                extra_flat,
-                extra_ranges,
-                ..
-            } = &mut self.exec;
-            let ctx = RoundContext {
-                round: t,
-                network,
-                assignment,
-                senders: senders_buf,
-                informed,
-            };
-            for &(u, _) in senders_buf.iter() {
-                let start = extra_flat.len() as u32;
-                adversary.unreliable_deliveries(&ctx, u, extra_flat);
-                let end = extra_flat.len() as u32;
-                debug_assert!(end >= start, "adversary shrank the delivery buffer");
-                for &v in &extra_flat[start as usize..end as usize] {
-                    debug_assert!(
-                        network.unreliable_only_csr().contains(u, v),
-                        "adversary delivered ({u}, {v}) outside G' \\ G"
-                    );
-                }
-                extra_ranges.push((start, end));
-            }
-        }
-
-        // Phase 2b (coordinator): bucket the adversary extras by
-        // *receiver* — a stable counting sort whose write pass visits
-        // senders in ascending index order, so each receiver's bucket is
-        // in ascending sender-index order, matching the sequential
-        // arena's per-node fill order. Reuses the sequential engine's
-        // cursor / arena_off / arena buffers (idle in sharded rounds).
-        {
-            let Executor {
-                extra_flat,
-                extra_ranges,
-                arena,
-                arena_off,
-                cursor,
-                ..
-            } = &mut self.exec;
-            cursor.fill(0);
-            for &v in extra_flat.iter() {
-                cursor[v.index()] += 1;
-            }
-            let mut acc = 0u32;
-            arena_off[0] = 0;
-            for v in 0..n {
-                acc += cursor[v];
-                arena_off[v + 1] = acc;
-            }
-            cursor.copy_from_slice(&arena_off[..n]);
-            if arena.len() < acc as usize {
-                arena.resize(acc as usize, 0);
-            }
-            for (i, &(s, e)) in extra_ranges.iter().enumerate() {
-                for &v in &extra_flat[s as usize..e as usize] {
-                    arena[cursor[v.index()] as usize] = i as u32;
-                    cursor[v.index()] += 1;
+        // An oblivious adversary's choices are a pure function of (seed,
+        // round, edge or node), so they are evaluated receiver-side inside
+        // the shards (phase 3) and phases 2a/2b are skipped. Queried every
+        // round: the adversary is behind `DerefMut`.
+        let oracle = self.exec.adversary.edge_oracle().map(|o| o.round(t));
+        if oracle.is_some() {
+            // Grow-only, and only when an epoch swap raised the largest
+            // unreliable in-degree: the resolve loop never grows it.
+            let need = self.exec.network.max_unreliable_in_degree();
+            for buf in &mut self.extra_bufs {
+                if buf.len() < need {
+                    buf.resize(need, NONE);
                 }
             }
+        } else {
+            self.sample_extras(t);
         }
 
         // Phase 3 (sharded): receiver-side collision resolution. Each
-        // shard walks its receivers' in-neighborhoods (the transpose CSR)
+        // shard walks its receivers' in-neighborhoods (the transpose CSRs)
         // instead of scattering from sender rows — same per-node reaching
-        // set, no cross-shard writes. CR4 choices are recorded as jobs and
-        // resolved on the coordinator below (adversary RNG order).
+        // set, no cross-shard writes. Under an oracle the shard also
+        // evaluates the adversary's deliveries and CR4 coins; otherwise CR4
+        // choices are recorded as jobs and resolved on the coordinator
+        // below (adversary RNG order).
         self.exec.receptions_buf.clear();
-        self.exec
-            .receptions_buf
-            .resize(n, Reception::Silence);
+        self.exec.receptions_buf.resize(n, Reception::Silence);
         {
             let Executor {
                 network,
@@ -313,42 +270,50 @@ impl<'a> ShardedExecutor<'a> {
                 byzantine_count,
                 ..
             } = &mut self.exec;
-            let in_csr = network.reliable_in_csr();
             let rule = config.rule;
-            // Dense-round fast path, mirroring the sequential engine's
-            // skipped write pass: when every node transmitted under
-            // CR2-CR4, only the reaching-set *length* matters, and it is
-            // in-degree + extras + 1 — O(1) per receiver.
-            let dense = senders_buf.len() == n && rule != CollisionRule::Cr1;
-            let byzantine = *byzantine_count > 0;
-            let faulty = *faulty_count > 0;
-            let senders: &[(NodeId, Message)] = senders_buf;
-            let own_buf: &[Option<Message>] = own_buf;
-            let own_idx: &[u32] = &self.own_idx;
-            let roles: &[NodeRole] = roles;
-            let extras: &[u32] = arena;
-            let extra_off: &[u32] = arena_off;
+            let round = RoundView {
+                // Dense-round fast path, mirroring the sequential engine's
+                // skipped write pass: when every node transmitted under
+                // CR2-CR4, only whether the reaching set has two or more
+                // members matters — O(1) per receiver with a reliable
+                // in-neighbor.
+                dense: senders_buf.len() == n && rule != CollisionRule::Cr1,
+                byzantine: *byzantine_count > 0,
+                faulty: *faulty_count > 0,
+                rule,
+                senders: senders_buf,
+                own_buf,
+                own_idx: &self.own_idx,
+                in_csr: network.reliable_in_csr(),
+                roles,
+                extras: match oracle {
+                    Some(oracle) => Extras::Oracle {
+                        in_csr: network.unreliable_only_in_csr(),
+                        oracle,
+                    },
+                    None => Extras::Bucketed {
+                        flat: arena,
+                        off: arena_off,
+                    },
+                },
+            };
+            let round = &round;
             std::thread::scope(|scope| {
                 let mut parts = receptions_buf
                     .chunks_mut(chunk)
                     .zip(self.cr4_jobs.iter_mut())
                     .zip(self.cr4_idx.iter_mut())
+                    .zip(self.extra_bufs.iter_mut())
                     .zip(self.collision_counts.iter_mut())
                     .enumerate();
                 let first = parts.next();
-                for (s, (((rec, jobs), idxs), col)) in parts {
+                for (s, ((((rec, jobs), idxs), ex), col)) in parts {
                     scope.spawn(move || {
-                        resolve_chunk(
-                            rec, s * chunk, jobs, idxs, col, senders, own_buf, own_idx, in_csr,
-                            extras, extra_off, roles, faulty, byzantine, dense, rule,
-                        );
+                        resolve_chunk(round, rec, s * chunk, jobs, idxs, ex, col);
                     });
                 }
-                if let Some((_, (((rec, jobs), idxs), col))) = first {
-                    resolve_chunk(
-                        rec, 0, jobs, idxs, col, senders, own_buf, own_idx, in_csr, extras,
-                        extra_off, roles, faulty, byzantine, dense, rule,
-                    );
+                if let Some((_, ((((rec, jobs), idxs), ex), col))) = first {
+                    resolve_chunk(round, rec, 0, jobs, idxs, ex, col);
                 }
             });
         }
@@ -358,7 +323,8 @@ impl<'a> ShardedExecutor<'a> {
 
         // Phase 3b (coordinator): deferred CR4 choices, shard by shard —
         // ascending node order, the exact adversary call sequence of the
-        // sequential engine.
+        // sequential engine. Empty when the oracle resolved CR4 in the
+        // shards.
         {
             let Executor {
                 network,
@@ -396,10 +362,7 @@ impl<'a> ShardedExecutor<'a> {
                         match adversary.resolve_cr4(&ctx, node, cr4_scratch) {
                             collision::Cr4Resolution::Silence => Reception::Silence,
                             collision::Cr4Resolution::Deliver(i) => {
-                                assert!(
-                                    i < cr4_scratch.len(),
-                                    "CR4 delivery index out of bounds"
-                                );
+                                assert!(i < cr4_scratch.len(), "CR4 delivery index out of bounds");
                                 Reception::Message(cr4_scratch[i])
                             }
                         };
@@ -501,6 +464,79 @@ impl<'a> ShardedExecutor<'a> {
     }
 }
 
+impl ShardedExecutor<'_> {
+    /// Phases 2a/2b on the coordinator, for adversaries without an
+    /// [`EdgeOracle`][crate::EdgeOracle]: one
+    /// [`Adversary::unreliable_deliveries`][crate::Adversary::unreliable_deliveries]
+    /// call per sender in node order — the call order every seeded
+    /// adversary's RNG stream depends on, identical to the sequential
+    /// engine — then the extras bucketed by receiver into the executor's
+    /// `arena` / `arena_off` (idle in sharded rounds).
+    fn sample_extras(&mut self, t: u64) {
+        let n = self.exec.network.len();
+        let Executor {
+            network,
+            adversary,
+            assignment,
+            informed,
+            senders_buf,
+            extra_flat,
+            extra_ranges,
+            arena,
+            arena_off,
+            cursor,
+            ..
+        } = &mut self.exec;
+        extra_flat.clear();
+        extra_ranges.clear();
+        let ctx = RoundContext {
+            round: t,
+            network,
+            assignment,
+            senders: senders_buf,
+            informed,
+        };
+        for &(u, _) in senders_buf.iter() {
+            let start = extra_flat.len() as u32;
+            adversary.unreliable_deliveries(&ctx, u, extra_flat);
+            let end = extra_flat.len() as u32;
+            debug_assert!(end >= start, "adversary shrank the delivery buffer");
+            for &v in &extra_flat[start as usize..end as usize] {
+                debug_assert!(
+                    network.unreliable_only_csr().contains(u, v),
+                    "adversary delivered ({u}, {v}) outside G' \\ G"
+                );
+            }
+            extra_ranges.push((start, end));
+        }
+
+        // A stable counting sort whose write pass visits senders in
+        // ascending index order, so each receiver's bucket is in ascending
+        // sender-index order, matching the sequential arena's per-node
+        // fill order.
+        cursor.fill(0);
+        for &v in extra_flat.iter() {
+            cursor[v.index()] += 1;
+        }
+        let mut acc = 0u32;
+        arena_off[0] = 0;
+        for v in 0..n {
+            acc += cursor[v];
+            arena_off[v + 1] = acc;
+        }
+        cursor.copy_from_slice(&arena_off[..n]);
+        if arena.len() < acc as usize {
+            arena.resize(acc as usize, 0);
+        }
+        for (i, &(s, e)) in extra_ranges.iter().enumerate() {
+            for &v in &extra_flat[s as usize..e as usize] {
+                arena[cursor[v.index()] as usize] = i as u32;
+                cursor[v.index()] += 1;
+            }
+        }
+    }
+}
+
 impl<'a> std::ops::Deref for ShardedExecutor<'a> {
     type Target = Executor<'a>;
 
@@ -527,66 +563,133 @@ impl std::fmt::Debug for ShardedExecutor<'_> {
     }
 }
 
-/// One shard's collision-resolution pass over receivers
-/// `base..base + receptions.len()`: recomputes each receiver's reaching
-/// set from the transpose CSR (in-row senders), the sender-index map
-/// (self), and the receiver-bucketed adversary extras — the same set, in
-/// the same ascending sender-index order, the sequential engine's arena
-/// holds. Mirrors `Executor::step_traced` phase 3 case for case; the
-/// differential suite pins the two together.
-#[allow(clippy::too_many_arguments)]
-fn resolve_chunk(
-    receptions: &mut [Reception],
-    base: usize,
-    jobs: &mut Vec<(u32, u32, u32)>,
-    idxs: &mut Vec<u32>,
-    collisions: &mut u64,
-    senders: &[(NodeId, Message)],
-    own_buf: &[Option<Message>],
-    own_idx: &[u32],
-    in_csr: &Csr,
-    extras: &[u32],
-    extra_off: &[u32],
-    roles: &[NodeRole],
+/// Where a shard finds each receiver's adversary extras: the senders
+/// whose transmissions the adversary delivers over `G′ ∖ G`.
+#[derive(Clone, Copy)]
+enum Extras<'r> {
+    /// Sampled on the coordinator and bucketed by receiver: receiver `v`'s
+    /// extras are `flat[off[v]..off[v + 1]]`, ascending sender indices.
+    Bucketed { flat: &'r [u32], off: &'r [u32] },
+    /// Evaluated in the shard: receiver `v`'s extras are the transmitting
+    /// members of its `G′ ∖ G` in-row that the oracle delivers.
+    Oracle {
+        in_csr: &'r Csr,
+        oracle: RoundOracle,
+    },
+}
+
+impl<'r> Extras<'r> {
+    /// Whether any adversary extra reaches receiver `v` this round.
+    #[inline]
+    fn any(&self, v: usize, own_idx: &[u32]) -> bool {
+        match *self {
+            Extras::Bucketed { off, .. } => off[v + 1] > off[v],
+            Extras::Oracle { in_csr, oracle } => {
+                let node = NodeId::from_index(v);
+                in_csr
+                    .row(node)
+                    .iter()
+                    .any(|&u| own_idx[u.index()] != NONE && oracle.delivers(u, node))
+            }
+        }
+    }
+
+    /// Receiver `v`'s extras as ascending sender indices. The oracle path
+    /// fills `buf`, which must hold `v`'s whole `G′ ∖ G` in-row.
+    #[inline]
+    fn of<'b>(&self, v: usize, own_idx: &[u32], buf: &'b mut [u32]) -> &'b [u32]
+    where
+        'r: 'b,
+    {
+        match *self {
+            Extras::Bucketed { flat, off } => &flat[off[v] as usize..off[v + 1] as usize],
+            Extras::Oracle { in_csr, oracle } => {
+                // Branch-free append: always write the slot, advance the
+                // cursor by the hit bit. A data-dependent `if` here
+                // mispredicts on half the edges at p = 1/2. The in-row is
+                // ascending, so the extras are in ascending sender index.
+                let node = NodeId::from_index(v);
+                let mut k = 0usize;
+                for &u in in_csr.row(node) {
+                    let idx = own_idx[u.index()];
+                    buf[k] = idx;
+                    k += usize::from((idx != NONE) & oracle.delivers(u, node));
+                }
+                &buf[..k]
+            }
+        }
+    }
+}
+
+/// One round's read-only inputs to [`resolve_chunk`], shared by every
+/// shard.
+struct RoundView<'r> {
+    senders: &'r [(NodeId, Message)],
+    own_buf: &'r [Option<Message>],
+    /// Per node: its index into `senders`, or [`NONE`].
+    own_idx: &'r [u32],
+    /// The reliable in-neighborhoods (`G` transposed).
+    in_csr: &'r Csr,
+    roles: &'r [NodeRole],
+    extras: Extras<'r>,
     faulty: bool,
     byzantine: bool,
     dense: bool,
     rule: CollisionRule,
+}
+
+/// One shard's collision-resolution pass over receivers
+/// `base..base + receptions.len()`: recomputes each receiver's reaching
+/// set from the transpose CSR (in-row senders), the sender-index map
+/// (self), and the adversary extras — the same set, in the same ascending
+/// sender-index order, the sequential engine's arena holds. Mirrors
+/// `Executor::step_traced` phase 3 case for case; the differential suite
+/// pins the two together.
+fn resolve_chunk(
+    r: &RoundView<'_>,
+    receptions: &mut [Reception],
+    base: usize,
+    jobs: &mut Vec<(u32, u32, u32)>,
+    idxs: &mut Vec<u32>,
+    ex_buf: &mut [u32],
+    collisions: &mut u64,
 ) {
     jobs.clear();
     idxs.clear();
     *collisions = 0;
+    let own_idx = r.own_idx;
     // Per-receiver transmission content (see the sequential engine's
     // `msg_for`): while no Byzantine senders exist, every sender is a
     // shared channel and the role derivation is skipped.
     let msg_for = |idx: u32, receiver: usize| {
-        let (u, m) = senders[idx as usize];
-        if byzantine {
-            roles[u.index()].content_for(m, NodeId::from_index(receiver))
+        let (u, m) = r.senders[idx as usize];
+        if r.byzantine {
+            r.roles[u.index()].content_for(m, NodeId::from_index(receiver))
         } else {
             m
         }
     };
     for (i, slot) in receptions.iter_mut().enumerate() {
         let v = base + i;
+        let node = NodeId::from_index(v);
         // Faulty radios resolve to silence: no collision is counted and
         // no CR4 choice is drawn at such a node.
-        if faulty && !roles[v].is_correct() {
+        if r.faulty && !r.roles[v].is_correct() {
             *slot = Reception::Silence;
             continue;
         }
-        let ex = &extras[extra_off[v] as usize..extra_off[v + 1] as usize];
-        if dense {
-            let len = 1 + in_csr.row(NodeId::from_index(v)).len() + ex.len();
-            if len >= 2 {
+        let row = r.in_csr.row(node);
+        if r.dense {
+            // Every node transmitted, so its own message reaches it: a
+            // collision iff any other transmission does too.
+            if !row.is_empty() || r.extras.any(v, own_idx) {
                 *collisions += 1;
             }
             // analyzer: allow(panic, reason = "invariant: dense ⇒ every node transmitted, so own_buf is set")
-            *slot = Reception::Message(own_buf[v].expect("dense round: every node transmitted"));
+            *slot = Reception::Message(r.own_buf[v].expect("dense round: every node transmitted"));
             continue;
         }
         let own = own_idx[v];
-        let row = in_csr.row(NodeId::from_index(v));
         // Count the in-row senders; remember the first for the len == 1
         // case (the only case that reads a lone non-self message).
         let mut in_count = 0usize;
@@ -600,26 +703,30 @@ fn resolve_chunk(
                 in_count += 1;
             }
         }
-        let len = usize::from(own != NONE) + in_count + ex.len();
         if own != NONE {
             // Senders: own message always reaches them; CR1 senders
-            // detect collisions, CR2-CR4 senders hear themselves.
-            if len >= 2 {
+            // detect collisions, CR2-CR4 senders hear themselves. Only
+            // whether anything else reaches them matters, so the extras
+            // are consulted only without an in-row sender.
+            let other = in_count > 0 || r.extras.any(v, own_idx);
+            if other {
                 *collisions += 1;
             }
-            *slot = match rule {
+            *slot = match r.rule {
                 CollisionRule::Cr1 => {
-                    if len == 1 {
-                        Reception::Message(msg_for(own, v))
-                    } else {
+                    if other {
                         Reception::Collision
+                    } else {
+                        Reception::Message(msg_for(own, v))
                     }
                 }
                 // analyzer: allow(panic, reason = "invariant: own_idx set ⇒ own_buf set for the same node")
-                _ => Reception::Message(own_buf[v].expect("sender's own message is recorded")),
+                _ => Reception::Message(r.own_buf[v].expect("sender's own message is recorded")),
             };
             continue;
         }
+        let ex = r.extras.of(v, own_idx, ex_buf);
+        let len = in_count + ex.len();
         *slot = match len {
             0 => Reception::Silence,
             1 => {
@@ -628,38 +735,60 @@ fn resolve_chunk(
             }
             _ => {
                 *collisions += 1;
-                match rule {
+                match r.rule {
                     CollisionRule::Cr1 | CollisionRule::Cr2 => Reception::Collision,
                     CollisionRule::Cr3 => Reception::Silence,
                     CollisionRule::Cr4 => {
-                        // Defer the adversary's choice to the coordinator:
-                        // record the reaching set, merging the two
-                        // ascending sequences (in-row senders, bucketed
-                        // extras) into ascending sender-index order —
-                        // the order `resolve_cr4` has always seen. The
-                        // sequences are disjoint (extras ⊆ G′ ∖ G).
-                        let start = idxs.len() as u32;
-                        let mut ei = 0usize;
-                        for &u in row {
-                            let idx = own_idx[u.index()];
-                            if idx == NONE {
-                                continue;
+                        let picked = match r.extras {
+                            Extras::Oracle { oracle, .. } => oracle.resolve_cr4(node, len),
+                            Extras::Bucketed { .. } => None,
+                        };
+                        match picked {
+                            Some(Cr4Resolution::Silence) => Reception::Silence,
+                            Some(Cr4Resolution::Deliver(i)) => {
+                                match reaching(row, own_idx, ex).nth(i) {
+                                    Some(idx) => Reception::Message(msg_for(idx, v)),
+                                    None => unreachable!("the oracle picks i < len"),
+                                }
                             }
-                            while ei < ex.len() && ex[ei] < idx {
-                                idxs.push(ex[ei]);
-                                ei += 1;
+                            None => {
+                                // Defer the adversary's choice to the
+                                // coordinator: record the reaching set in
+                                // the order `resolve_cr4` has always seen.
+                                let start = idxs.len() as u32;
+                                idxs.extend(reaching(row, own_idx, ex));
+                                jobs.push((v as u32, start, idxs.len() as u32));
+                                // Placeholder; phase 3b overwrites it.
+                                Reception::Silence
                             }
-                            idxs.push(idx);
                         }
-                        idxs.extend_from_slice(&ex[ei..]);
-                        jobs.push((v as u32, start, idxs.len() as u32));
-                        // Placeholder; phase 3b overwrites it.
-                        Reception::Silence
                     }
                 }
             }
         };
     }
+}
+
+/// A non-sending receiver's reaching set in ascending sender-index order:
+/// the transmitting members of its reliable in-row merged with its
+/// adversary extras `ex` (both ascending, and disjoint since
+/// `ex ⊆ G′ ∖ G`).
+fn reaching<'r>(
+    row: &'r [NodeId],
+    own_idx: &'r [u32],
+    ex: &'r [u32],
+) -> impl Iterator<Item = u32> + 'r {
+    let mut senders = row
+        .iter()
+        .map(|&u| own_idx[u.index()])
+        .filter(|&idx| idx != NONE)
+        .peekable();
+    let mut extras = ex.iter().copied().peekable();
+    std::iter::from_fn(move || match (senders.peek(), extras.peek()) {
+        (Some(&a), Some(&b)) if b < a => extras.next(),
+        (Some(_), _) => senders.next(),
+        (None, _) => extras.next(),
+    })
 }
 
 /// One shard's phase-4 bookkeeping window: disjoint mutable slices of the
@@ -707,10 +836,7 @@ mod tests {
     use crate::process::{ChatterProcess, Flooder};
     use dualgraph_net::generators;
 
-    fn chatter_exec(
-        net: &dualgraph_net::DualGraph,
-        rule: CollisionRule,
-    ) -> Executor<'_> {
+    fn chatter_exec(net: &dualgraph_net::DualGraph, rule: CollisionRule) -> Executor<'_> {
         Executor::from_slots(
             net,
             ChatterProcess::slots(net.len(), 7, 5),

@@ -14,7 +14,12 @@
 //!    every round summary, known-payload record, and outcome, across
 //!    random topologies × the adversary menu × CR1–CR4 × both start
 //!    rules. Worker count 1 additionally proves the delegation path *is*
-//!    the pre-refactor sequential engine.
+//!    the pre-refactor sequential engine. The menu covers both resolve
+//!    paths: oblivious adversaries (and the wrappers that forward their
+//!    [`EdgeOracle`][dualgraph_sim::EdgeOracle]) are evaluated inside the
+//!    shards, the stateful and adaptive ones on the coordinator. A
+//!    directed topology makes the `G′ ∖ G` in-rows a stored transpose
+//!    rather than the out-CSR itself.
 //! 2. **fault and Byzantine plans** — crash/recovery, jammers,
 //!    equivocators, and forgers ride churn schedules while the engines
 //!    run side by side: the sharded resolve must preserve the
@@ -30,12 +35,12 @@
 //! suite honest if the alignment policy ever changes.
 
 use dualgraph_net::{generators, DualGraph, NodeId, TopologySchedule};
-use dualgraph_sim::rng::derive_seed;
+use dualgraph_sim::rng::{derive_seed, splitmix64};
 use dualgraph_sim::{
     Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, DynamicExecutor, DynamicsCursor,
-    Executor, ExecutorConfig, FaultPlan, Flooder, FullDelivery, PayloadId, PayloadSet,
+    Executor, ExecutorConfig, FaultPlan, Flooder, FullDelivery, PayloadId, PayloadSet, ProcessId,
     RandomDelivery, ReferenceExecutor, ReliableOnly, RoundSummary, ShardedExecutor, StartRule,
-    TraceEvent, TraceLevel, TraceSink,
+    TraceEvent, TraceLevel, TraceSink, WithAssignment, WithRandomCr4,
 };
 
 /// Worker counts under test: the delegating single-shard path, an even
@@ -43,15 +48,36 @@ use dualgraph_sim::{
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
 
 /// The adversary menu; every engine under comparison gets its own
-/// identically-seeded instance.
+/// identically-seeded instance. `random-per-edge` and `bursty` (stateful
+/// streams) and `collision-seeker` (adaptive) are the coordinator-path
+/// controls; the rest resolve through the shard-side oracle.
 #[allow(clippy::type_complexity)]
-fn adversary_menu(seed: u64) -> Vec<(&'static str, Box<dyn Fn() -> Box<dyn Adversary>>)> {
+fn adversary_menu(seed: u64, n: usize) -> Vec<(&'static str, Box<dyn Fn() -> Box<dyn Adversary>>)> {
     vec![
         ("reliable-only", Box::new(|| Box::new(ReliableOnly::new()))),
         ("full-delivery", Box::new(|| Box::new(FullDelivery::new()))),
         (
             "random(0.5)",
             Box::new(move || Box::new(RandomDelivery::new(0.5, seed))),
+        ),
+        (
+            "random-cr4(random(0.5))",
+            Box::new(move || {
+                Box::new(WithRandomCr4::new(
+                    RandomDelivery::new(0.5, seed),
+                    derive_seed(seed, 1),
+                ))
+            }),
+        ),
+        (
+            "assigned(random(0.5))",
+            Box::new(move || {
+                Box::new(WithAssignment::new(
+                    RandomDelivery::new(0.5, seed),
+                    // Processes placed in reverse node order.
+                    (0..n as u32).rev().map(ProcessId).collect(),
+                ))
+            }),
         ),
         (
             "random-per-edge(0.5)",
@@ -80,6 +106,33 @@ fn random_net(seed: u64, n: usize) -> DualGraph {
         },
         seed,
     )
+}
+
+/// A directed topology: [`random_net`]'s reliable graph plus up to three
+/// one-way gray edges per node, so `G′ ∖ G` is asymmetric and its
+/// transpose is stored separately.
+fn directed_net(seed: u64, n: usize) -> DualGraph {
+    let g = random_net(seed, n).reliable().clone();
+    let mut total = g.clone();
+    let mut h = seed;
+    for u in 0..n {
+        for _ in 0..3 {
+            h = splitmix64(h);
+            let (u, v) = (
+                NodeId::from_index(u),
+                NodeId::from_index((h % n as u64) as usize),
+            );
+            if u != v && !g.has_edge(u, v) {
+                total.add_edge(u, v);
+            }
+        }
+    }
+    let net = DualGraph::new(g, total, NodeId(0)).unwrap();
+    assert!(
+        !std::ptr::eq(net.unreliable_only_in_csr(), net.unreliable_only_csr()),
+        "the directed topology must store its own transpose"
+    );
+    net
 }
 
 fn configs() -> Vec<ExecutorConfig> {
@@ -173,26 +226,30 @@ impl<'a> ShardedDynamic<'a> {
 }
 
 /// Property 1: sharded (workers 1, 2, 7), sequential, and reference
-/// engines agree round for round across topologies × the menu × CR1–CR4
-/// × both start rules — fault-free, so this isolates the core sweep
-/// refactor.
+/// engines agree round for round across topologies (undirected and
+/// directed) × the menu × CR1–CR4 × both start rules — fault-free, so
+/// this isolates the core sweep refactor.
 #[test]
 fn sharded_sequential_and_reference_agree() {
-    for (net_seed, n) in [(19u64, 150), (43, 200)] {
-        let net = random_net(net_seed, n);
+    let nets = [
+        ("er", 19u64, random_net(19, 150)),
+        ("er", 43, random_net(43, 200)),
+        ("directed", 71, directed_net(71, 150)),
+    ];
+    for (kind, net_seed, net) in &nets {
+        let n = net.len();
         for config in configs() {
-            for (name, make_adv) in adversary_menu(derive_seed(137, net_seed)) {
-                let label = format!("n={n} {name} {:?} {:?}", config.rule, config.start);
+            for (name, make_adv) in adversary_menu(derive_seed(137, *net_seed), n) {
+                let label = format!("{kind} n={n} {name} {:?} {:?}", config.rule, config.start);
                 let mut sequential =
-                    Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
+                    Executor::from_slots(net, Flooder::slots(n), make_adv(), config).unwrap();
                 let mut reference =
-                    ReferenceExecutor::new(&net, Flooder::boxed(n), make_adv(), config).unwrap();
+                    ReferenceExecutor::new(net, Flooder::boxed(n), make_adv(), config).unwrap();
                 let mut sharded: Vec<ShardedExecutor<'_>> = WORKER_COUNTS
                     .iter()
                     .map(|&w| {
-                        let exec =
-                            Executor::from_slots(&net, Flooder::slots(n), make_adv(), config)
-                                .unwrap();
+                        let exec = Executor::from_slots(net, Flooder::slots(n), make_adv(), config)
+                            .unwrap();
                         ShardedExecutor::new(exec, w)
                     })
                     .collect();
@@ -244,7 +301,7 @@ fn sharded_engines_agree_under_faults_and_churn() {
         let schedule = churn3(&net, derive_seed(9, net_seed));
         let plan = fault_plan(n, net_seed);
         for config in configs() {
-            for (name, make_adv) in adversary_menu(derive_seed(141, net_seed)) {
+            for (name, make_adv) in adversary_menu(derive_seed(141, net_seed), n) {
                 let label = format!("faulty {name} {:?} {:?}", config.rule, config.start);
                 let mut sequential = DynamicExecutor::from_slots(
                     &schedule,
@@ -362,8 +419,7 @@ fn interleaved_sequential_and_sharded_steps_agree() {
         payload: PayloadId(0),
     };
     let make_adv = || Box::new(RandomDelivery::new(0.4, 23)) as Box<dyn Adversary>;
-    let mut sequential =
-        Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
+    let mut sequential = Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
     let exec = Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
     let mut mixed = ShardedExecutor::new(exec, 2);
     for round in 0..24 {
