@@ -55,26 +55,86 @@ fn under_any(path: &str, prefixes: &[String]) -> bool {
 pub fn analyze_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     let lexed = lexer::lex(src);
     let model = scanner::scan(&lexed);
+    analyze_model(rel_path, &lexed, &model, cfg)
+}
 
+/// Analyzes a whole workspace of `(rel_path, source)` files: every
+/// per-file finding of [`analyze_source`], plus one
+/// [`lints::HOT_UNMATCHED`] finding per `[hot] functions` entry that
+/// names no `fn` in any of the files — a stale entry (its function was
+/// renamed or deleted) silently covers nothing. Those findings point at
+/// `config_path`, on the line of `config_text` naming the entry, and are
+/// unwaivable: no source comment can reach them.
+pub fn analyze_workspace(
+    files: &[(String, String)],
+    cfg: &Config,
+    config_path: &str,
+    config_text: &str,
+) -> Vec<Finding> {
+    let mut matched = vec![false; cfg.hot_functions.len()];
+    let mut findings = Vec::new();
+    for (rel_path, src) in files {
+        let lexed = lexer::lex(src);
+        let model = scanner::scan(&lexed);
+        for f in &model.fns {
+            for (hit, entry) in matched.iter_mut().zip(&cfg.hot_functions) {
+                *hit |= lints::names(entry, f);
+            }
+        }
+        findings.extend(analyze_model(rel_path, &lexed, &model, cfg));
+    }
+    for (entry, _) in cfg
+        .hot_functions
+        .iter()
+        .zip(&matched)
+        .filter(|(_, &hit)| !hit)
+    {
+        let quoted = format!("\"{entry}\"");
+        let line = config_text
+            .lines()
+            .position(|l| l.contains(&quoted))
+            .map_or(1, |i| i as u32 + 1);
+        findings.push(Finding {
+            file: config_path.to_string(),
+            line,
+            lint: lints::HOT_UNMATCHED,
+            message: format!(
+                "hot function `{entry}` matches no `fn` in the scanned files; \
+                 rename or drop the stale entry"
+            ),
+            waived: false,
+            reason: None,
+        });
+    }
+    findings
+}
+
+/// The per-file lints and waiver resolution behind [`analyze_source`].
+fn analyze_model(
+    rel_path: &str,
+    lexed: &lexer::Lexed,
+    model: &scanner::Model,
+    cfg: &Config,
+) -> Vec<Finding> {
     let mut violations: Vec<Violation> = Vec::new();
     if under_any(rel_path, &cfg.determinism_paths) {
-        violations.extend(lints::determinism(&lexed.toks, &model));
+        violations.extend(lints::determinism(&lexed.toks, model));
     }
-    violations.extend(lints::hot_alloc(&lexed.toks, &model, cfg));
-    violations.extend(lints::adversary_append(&lexed.toks, &model));
-    violations.extend(lints::inject_discard(&lexed.toks, &model));
-    violations.extend(lints::clone_fields(&lexed.toks, &model));
+    violations.extend(lints::hot_alloc(&lexed.toks, model, cfg));
+    violations.extend(lints::adversary_append(&lexed.toks, model));
+    violations.extend(lints::inject_discard(&lexed.toks, model));
+    violations.extend(lints::clone_fields(&lexed.toks, model));
     if under_any(rel_path, &cfg.panic_paths) {
-        violations.extend(lints::panic_hygiene(&lexed.toks, &model));
+        violations.extend(lints::panic_hygiene(&lexed.toks, model));
         if cfg.index_bound_comments {
-            violations.extend(lints::index_bound(&lexed.toks, &model, &lexed.comments));
+            violations.extend(lints::index_bound(&lexed.toks, model, &lexed.comments));
         }
     }
 
     // Resolve waivers.
     let mut code_lines: Vec<u32> = lexed.toks.iter().map(|t| t.line).collect();
     code_lines.dedup();
-    let waivers = waiver::collect(&lexed, &code_lines);
+    let waivers = waiver::collect(lexed, &code_lines);
 
     let mut findings: Vec<Finding> = violations
         .into_iter()

@@ -5,12 +5,14 @@
 
 use crate::config::Config;
 use crate::lexer::{Comment, Tok, TokKind};
-use crate::scanner::Model;
+use crate::scanner::{FnInfo, Model};
 
 /// Lint identifier for the determinism class.
 pub const DETERMINISM: &str = "determinism";
 /// Lint identifier for the hot-path allocation class.
 pub const HOT_ALLOC: &str = "hot-alloc";
+/// Lint identifier for a `[hot] functions` entry that names no `fn`.
+pub const HOT_UNMATCHED: &str = "hot-unmatched";
 /// Lint identifier for the adversary scratch-buffer contract.
 pub const ADVERSARY_APPEND: &str = "adversary-append";
 /// Lint identifier for discarded `inject` results.
@@ -130,20 +132,22 @@ pub fn determinism(toks: &[Tok], model: &Model) -> Vec<Violation> {
 // (2) hot-path allocation
 // ---------------------------------------------------------------------------
 
+/// Whether the hot-set `entry` names `f`: `Type::name` matches a method,
+/// a bare name any function of that name.
+pub fn names(entry: &str, f: &FnInfo) -> bool {
+    entry == f.name || entry == f.qualified_name()
+}
+
 /// Flags allocating constructs inside the configured hot-function set.
 /// Hot loops must reuse caller-owned scratch buffers; any `Vec`/`Box`/
 /// `String` construction or `collect` in them is a per-round allocation.
 pub fn hot_alloc(toks: &[Tok], model: &Model, cfg: &Config) -> Vec<Violation> {
     let mut out = Vec::new();
     for f in &model.fns {
-        let qname = f.qualified_name();
-        let is_hot = cfg
-            .hot_functions
-            .iter()
-            .any(|h| *h == qname || *h == f.name);
-        if !is_hot {
+        if !cfg.hot_functions.iter().any(|h| names(h, f)) {
             continue;
         }
+        let qname = f.qualified_name();
         let body = &toks[f.body.clone()];
         for (i, t) in body.iter().enumerate() {
             let msg = |what: &str| {

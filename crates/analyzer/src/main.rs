@@ -1,5 +1,7 @@
-//! CLI entry point: walk the workspace, run every lint, print findings,
-//! write the JSON report, and exit nonzero on any unwaived violation.
+//! CLI entry point: walk the workspace, run every lint (plus the
+//! workspace-wide check that every hot-set entry names a function), print
+//! findings, write the JSON report, and exit nonzero on any unwaived
+//! violation.
 //!
 //! Usage: `cargo run -p dualgraph-analyzer [-- --report PATH] [--quiet]`
 //!
@@ -8,7 +10,7 @@
 
 #![forbid(unsafe_code)]
 
-use dualgraph_analyzer::{analyze_source, config::Config, report, Finding};
+use dualgraph_analyzer::{analyze_workspace, config::Config, report, Finding};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -57,17 +59,17 @@ fn main() -> ExitCode {
     };
 
     let files = collect_files(&root, &cfg);
-    let mut findings: Vec<Finding> = Vec::new();
+    let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
     for rel in &files {
-        let src = match std::fs::read_to_string(root.join(rel)) {
-            Ok(s) => s,
+        match std::fs::read_to_string(root.join(rel)) {
+            Ok(s) => sources.push((rel.clone(), s)),
             Err(e) => {
                 eprintln!("error: reading {}: {}", rel, e);
                 return ExitCode::from(2);
             }
-        };
-        findings.extend(analyze_source(rel, &src, &cfg));
+        }
     }
+    let findings = analyze_workspace(&sources, &cfg, "analyzer.toml", &cfg_text);
 
     let unwaived: Vec<&Finding> = findings.iter().filter(|f| !f.waived).collect();
     if !quiet {

@@ -4,7 +4,7 @@
 //! the mandatory-reason rule. Fixtures live under `tests/fixtures/` as
 //! plain text — cargo never compiles them.
 
-use dualgraph_analyzer::{analyze_source, config::Config, Finding};
+use dualgraph_analyzer::{analyze_source, analyze_workspace, config::Config, Finding};
 
 /// The config every fixture is analyzed under. Fixtures are presented to
 /// the analyzer at a path inside both the determinism and panic scopes so
@@ -134,7 +134,9 @@ fn shard_hot_positive_fixture_fires() {
         .iter()
         .any(|f| f.message.contains("ShardedExecutor::step_traced")));
     assert!(hits.iter().any(|f| f.message.contains("resolve_chunk")));
-    assert!(hits.iter().any(|f| f.message.contains("AbsorbPart::absorb")));
+    assert!(hits
+        .iter()
+        .any(|f| f.message.contains("AbsorbPart::absorb")));
 }
 
 #[test]
@@ -237,6 +239,53 @@ fn index_bound_is_off_unless_configured() {
         &c,
     );
     assert!(fs.is_empty(), "{fs:?}");
+}
+
+// -------------------------------------------------------------- hot-unmatched
+
+const HOT_TOML: &str = "[hot]
+functions = [
+    \"Executor::step_traced\",
+    \"resolve_chunk\",
+    \"ShardedExecutor::sample_extras\",
+]
+";
+
+#[test]
+fn hot_entry_naming_no_fn_is_an_unwaivable_violation() {
+    let cfg = Config::from_toml(HOT_TOML).unwrap();
+    let files = vec![(
+        "crates/sim/src/hot_unmatched.rs".to_string(),
+        include_str!("fixtures/hot_unmatched.rs").to_string(),
+    )];
+    let fs = analyze_workspace(&files, &cfg, "analyzer.toml", HOT_TOML);
+    let hits: Vec<&Finding> = fs.iter().filter(|f| f.lint == "hot-unmatched").collect();
+    assert_eq!(hits.len(), 1, "{fs:?}");
+    assert!(!hits[0].waived);
+    assert_eq!((hits[0].file.as_str(), hits[0].line), ("analyzer.toml", 5));
+    assert!(hits[0].message.contains("ShardedExecutor::sample_extras"));
+}
+
+#[test]
+fn hot_entries_may_match_in_any_scanned_file() {
+    let cfg = Config::from_toml(HOT_TOML).unwrap();
+    let file = |name: &str, src: &str| (format!("crates/sim/src/{name}"), src.to_string());
+    let files = vec![
+        file(
+            "a.rs",
+            "struct Executor; impl Executor { fn step_traced(&mut self) {} }",
+        ),
+        file("b.rs", "fn resolve_chunk() {}"),
+        file(
+            "c.rs",
+            "struct ShardedExecutor; impl ShardedExecutor { fn sample_extras(&self) {} }",
+        ),
+    ];
+    let fs = analyze_workspace(&files, &cfg, "analyzer.toml", HOT_TOML);
+    assert!(fs.is_empty(), "{fs:?}");
+    // Without the file that defines it, the entry is stale.
+    let fs = analyze_workspace(&files[..2], &cfg, "analyzer.toml", HOT_TOML);
+    assert_eq!(unwaived(&fs, "hot-unmatched").len(), 1, "{fs:?}");
 }
 
 // -------------------------------------------------------------------- waivers

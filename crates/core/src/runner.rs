@@ -21,11 +21,11 @@ pub struct RunConfig {
     pub seed: u64,
     /// The trace recording level.
     pub trace: TraceLevel,
-    /// Intra-round shard workers: `> 1` runs each execution on the
-    /// sharded round engine ([`ShardedExecutor`]) with at most this many
-    /// worker threads. Outcomes are bit-identical for every setting; this
-    /// knob only trades wall-clock for threads. `0` and `1` both select
-    /// the sequential engine.
+    /// Intra-round shard workers: each execution's rounds are sharded
+    /// ([`ShardedExecutor`]) over at most this many worker threads.
+    /// Outcomes are bit-identical for every setting; this knob only trades
+    /// wall-clock for threads. `0` and `1` both run one shard, inline on
+    /// the calling thread.
     pub shards: usize,
 }
 
@@ -100,13 +100,8 @@ pub fn run_broadcast(
             ..ExecutorConfig::default()
         },
     )?;
-    if config.shards > 1 {
-        let mut sharded = ShardedExecutor::new(exec, config.shards);
-        Ok(sharded.run_until_complete(config.max_rounds))
-    } else {
-        let mut exec = exec;
-        Ok(exec.run_until_complete(config.max_rounds))
-    }
+    let mut exec = ShardedExecutor::new(exec, config.shards);
+    Ok(exec.run_until_complete(config.max_rounds))
 }
 
 /// Runs `trials` independent executions (seeds derived from
@@ -406,16 +401,11 @@ mod tests {
         );
         let make = |seed| Box::new(RandomDelivery::new(0.5, seed)) as Box<dyn Adversary>;
         let config = RunConfig::default().with_seed(42).with_max_rounds(100_000);
-        let sequential =
-            run_broadcast(&net, &Harmonic::new(), make(42), config).unwrap();
+        let sequential = run_broadcast(&net, &Harmonic::new(), make(42), config).unwrap();
         for shards in [0, 1, 2, 5] {
-            let sharded = run_broadcast(
-                &net,
-                &Harmonic::new(),
-                make(42),
-                config.with_shards(shards),
-            )
-            .unwrap();
+            let sharded =
+                run_broadcast(&net, &Harmonic::new(), make(42), config.with_shards(shards))
+                    .unwrap();
             assert_eq!(sequential, sharded, "shards={shards}");
         }
     }

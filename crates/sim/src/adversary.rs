@@ -182,8 +182,9 @@ pub trait Adversary {
     /// * neither call changes state that a later call depends on, so
     ///   skipping them changes nothing.
     ///
-    /// The differential suites check all three against the sequential
-    /// engine and the reference executor.
+    /// The differential suites check all three against the one-shard
+    /// round (which asks the adversary sender by sender) and the reference
+    /// executor.
     fn edge_oracle(&self) -> Option<EdgeOracle> {
         None
     }
@@ -1088,8 +1089,8 @@ mod tests {
 
     #[test]
     fn sender_and_receiver_side_oracle_agree_on_every_edge() {
-        // The sequential engine asks the adversary sender by sender; the
-        // sharded engine evaluates the oracle over receivers' in-rows.
+        // A one-shard round asks the adversary sender by sender; a
+        // sharded round evaluates the oracle over receivers' in-rows.
         // Both must select the same directed edges, round after round —
         // on a directed network, where the in-rows are a stored transpose.
         let net = one_way_gray(60, 4);

@@ -1,13 +1,16 @@
 //! The synchronous-round executor.
 
-use dualgraph_net::{DualGraph, FixedBitSet, NodeId};
+use dualgraph_net::{DualGraph, FixedBitSet, NodeId, ShardPlan};
 
 use crate::adversary::{Adversary, Assignment, RoundContext};
-use crate::collision::{self, CollisionRule, Reception};
+use crate::collision::{CollisionRule, Cr4Resolution, Reception};
 use crate::dynamics::{FaultView, NodeRole};
 use crate::message::{Message, PayloadId, ProcessId};
 use crate::payload::PayloadSet;
 use crate::process::{ActivationCause, Process};
+use crate::shard::{
+    resolve_shards, AbsorbPart, Bucketed, OracleExtras, RoundView, ShardScratch, NONE,
+};
 use crate::slot::{ProcessSlot, ProcessTable};
 use crate::trace::{NullSink, RoundRecord, Trace, TraceEvent, TraceLevel, TraceSink};
 
@@ -218,6 +221,11 @@ pub struct Executor<'a> {
     /// per sender); the per-receiver slow path is consulted only when
     /// this is positive, mirroring the `faulty_count == 0` fast path.
     pub(crate) byzantine_count: usize,
+    /// The node partition every round is swept over: one shard unless set
+    /// through [`ShardedExecutor::new`][crate::ShardedExecutor::new]. The
+    /// shard count also picks where a receiver's reaching set comes from
+    /// (see the `shard` module docs).
+    pub(crate) plan: ShardPlan,
     pub(crate) round: u64,
     pub(crate) sends: u64,
     pub(crate) physical_collisions: u64,
@@ -225,7 +233,12 @@ pub struct Executor<'a> {
     // ---- Reusable round scratch (allocation-free in steady state) ----
     /// This round's `(sender, message)` pairs, in node order.
     pub(crate) senders_buf: Vec<(NodeId, Message)>,
-    /// This round's resolved receptions, indexed by node.
+    /// Per node: this round's index into `senders_buf`, or `NONE` — the
+    /// O(1) "did `u` transmit?" lookup. Reset through the previous
+    /// round's `senders_buf`, so O(senders), not O(n).
+    pub(crate) own_idx: Vec<u32>,
+    /// This round's resolved receptions, indexed by node (always `n`
+    /// long; every round overwrites every slot).
     pub(crate) receptions_buf: Vec<Reception>,
     /// All adversary deliveries of the round, concatenated sender by
     /// sender: adversaries append their targets directly (see
@@ -234,28 +247,25 @@ pub struct Executor<'a> {
     /// Per-sender `(start, end)` ranges into `extra_flat` (parallel to
     /// `senders_buf`).
     pub(crate) extra_ranges: Vec<(u32, u32)>,
-    /// Flat arena of reaching transmissions, stored as **indices into
-    /// `senders_buf`** (4 bytes per delivery instead of a full `Message`):
-    /// node `v`'s reaching set is
-    /// `arena[arena_off[v] as usize..arena_off[v + 1] as usize]`, in the
-    /// same order the former per-node `Vec<Message>`s were filled (sender
-    /// node order; self, then `G` out-row, then adversary extras).
-    /// Collision resolution reads at most one message per node, so
-    /// materializing full messages per delivery was pure memory traffic;
-    /// the only full materialization left is `cr4_scratch`, for the
-    /// adversary's CR4 choice.
+    /// Flat arena of bucketed reachers, stored as **indices into
+    /// `senders_buf`** (4 bytes per delivery instead of a full
+    /// `Message`): receiver `v`'s bucket is
+    /// `arena[arena_off[v] as usize..arena_off[v + 1] as usize]`, in
+    /// ascending sender index. It holds the adversary extras, plus the
+    /// `G` out-rows when one shard scatters. Collision resolution reads at
+    /// most one message per node, so the only full materialization left
+    /// is `cr4_scratch`, for the adversary's CR4 choice.
     pub(crate) arena: Vec<u32>,
     /// `n + 1` prefix-sum offsets into `arena`.
     pub(crate) arena_off: Vec<u32>,
     /// Per-node fill cursors for the arena's second pass.
     pub(crate) cursor: Vec<u32>,
-    /// Per-node own transmission this round (senders hear themselves under
-    /// CR2–CR4).
-    pub(crate) own_buf: Vec<Option<Message>>,
     /// Reusable buffer materializing one node's reaching messages for
     /// [`Adversary::resolve_cr4`] (which, as a public API, still sees
     /// `&[Message]`, in the historical order).
     pub(crate) cr4_scratch: Vec<Message>,
+    /// Per-shard round scratch, one entry per shard of `plan`.
+    pub(crate) shards: Vec<ShardScratch>,
 }
 
 impl<'a> Executor<'a> {
@@ -355,19 +365,21 @@ impl<'a> Executor<'a> {
             standing_tx: vec![None; n],
             faulty_count: 0,
             byzantine_count: 0,
+            plan: ShardPlan::new(n, 1),
             round: 0,
             sends: 0,
             physical_collisions: 0,
             trace: Trace::new(config.trace),
             senders_buf: Vec::new(),
-            receptions_buf: Vec::with_capacity(n),
+            own_idx: vec![NONE; n],
+            receptions_buf: vec![Reception::Silence; n],
             extra_flat: Vec::new(),
             extra_ranges: Vec::new(),
             arena: Vec::new(),
             arena_off: vec![0; n + 1],
             cursor: vec![0; n],
-            own_buf: vec![None; n],
             cr4_scratch: Vec::new(),
+            shards: vec![ShardScratch::default()],
         };
 
         // Pre-round-1 activations.
@@ -418,6 +430,16 @@ impl<'a> Executor<'a> {
             "epoch node-count mismatch: the node set is fixed for the run"
         );
         self.network = network;
+    }
+
+    /// Sweeps every later round over at most `workers` shards (see
+    /// [`ShardedExecutor::new`][crate::ShardedExecutor::new]).
+    pub(crate) fn set_workers(&mut self, workers: usize) {
+        let plan = ShardPlan::new(self.network.len(), workers);
+        if plan != self.plan {
+            self.plan = plan;
+            self.shards = vec![ShardScratch::default(); plan.shards()];
+        }
     }
 
     /// Sets the liveness/role of `node` (the dynamics subsystem's fault
@@ -589,43 +611,54 @@ impl<'a> Executor<'a> {
 
     /// Executes one round and reports what happened.
     ///
-    /// Allocation-free in steady state: all round-local state lives in
-    /// reusable buffers on the executor. Only `RoundSummary::newly_informed`
-    /// (part of the return value) and — when tracing is enabled — the trace
-    /// record allocate.
+    /// Allocation-free in steady state at one shard: all round-local state
+    /// lives in reusable buffers on the executor. Only
+    /// `RoundSummary::newly_informed` (part of the return value) and — when
+    /// tracing is enabled — the trace record allocate. A sharded round
+    /// also spawns its scoped worker threads.
     pub fn step(&mut self) -> RoundSummary {
         self.step_traced(&mut NullSink)
     }
 
     /// [`Executor::step`] with observability hooks: emits
     /// [`TraceEvent::RoundStart`], then one [`TraceEvent::Transmit`] per
-    /// sender (ascending node order, via the traced transmit sweep), then
-    /// one [`TraceEvent::Reception`] / [`TraceEvent::Collision`] per
-    /// non-silent node (ascending node order, via the traced receive
-    /// sweep). Every hook is guarded by [`TraceSink::ENABLED`], so the
-    /// [`NullSink`] instantiation — which [`Executor::step`] delegates to
-    /// — is the untraced round loop, machine code unchanged (the
-    /// zero-overhead-when-off contract; see `docs/OBSERVABILITY.md`).
+    /// sender (ascending node order), then one [`TraceEvent::Reception`] /
+    /// [`TraceEvent::Collision`] per non-silent node (ascending node
+    /// order), all from the merged round buffers on the calling thread —
+    /// worker threads never see a sink. Every hook is guarded by
+    /// [`TraceSink::ENABLED`], so the [`NullSink`] instantiation — which
+    /// [`Executor::step`] delegates to — is the untraced round loop,
+    /// machine code unchanged (the zero-overhead-when-off contract; see
+    /// `docs/OBSERVABILITY.md`).
+    ///
+    /// The round runs over the executor's shard plan: reset, transmit
+    /// sweep, adversary, collision resolution, deferred CR4 choices, then
+    /// receive-and-absorb (see the `shard` module docs for the plan and
+    /// the reaching-set sources).
     pub fn step_traced<S: TraceSink>(&mut self, sink: &mut S) -> RoundSummary {
         let t = self.round + 1;
         let n = self.network.len();
+        let plan = self.plan;
+        // Several shards gather each receiver's reaching set from the
+        // transposed CSRs; one shard scatters it from the senders' rows.
+        let gather = n > plan.chunk();
         if S::ENABLED {
             sink.emit(TraceEvent::RoundStart { round: t });
         }
 
-        // Reset the previous round's own-message slots (O(previous senders),
-        // not O(n); the buffer starts all-`None`).
-        for i in 0..self.senders_buf.len() {
-            let u = self.senders_buf[i].0;
-            self.own_buf[u.index()] = None;
+        // Reset the previous round's sender-index slots (O(previous
+        // senders), not O(n); the map starts all-`NONE`).
+        for &(u, _) in &self.senders_buf {
+            self.own_idx[u.index()] = NONE;
         }
 
-        // Phase 1: batched send decisions (one variant dispatch for the
-        // whole sweep when the table is homogeneous). With faults present
-        // the sweep consults the role mask per node — crashed nodes are
-        // skipped, jammers/spammers contribute their standing message in
-        // node order, exactly where their process's send would have gone.
-        self.senders_buf.clear();
+        // Phase 1: batched send decisions (one variant dispatch per shard
+        // when the table is homogeneous). With faults present the sweep
+        // consults the role mask per node — crashed nodes are skipped,
+        // jammers/spammers contribute their standing message in node
+        // order, exactly where their process's send would have gone.
+        // Shard 0 appends straight to `senders_buf`; the other shards'
+        // buffers follow in shard order, which is ascending node order.
         {
             let Executor {
                 procs,
@@ -635,6 +668,7 @@ impl<'a> Executor<'a> {
                 faulty_count,
                 known,
                 senders_buf,
+                shards,
                 ..
             } = self;
             let faults = (*faulty_count > 0).then_some(FaultView {
@@ -642,147 +676,99 @@ impl<'a> Executor<'a> {
                 standing_tx,
                 known,
             });
-            procs.transmit_all_traced(t, active_from, faults, senders_buf, sink);
+            senders_buf.clear();
+            for s in &mut shards[1..] {
+                s.sends.clear();
+            }
+            let outs = std::iter::once(&mut *senders_buf)
+                .chain(shards[1..].iter_mut().map(|s| &mut s.sends));
+            procs.transmit_sweep(t, active_from, faults, plan, outs);
+            for s in &shards[1..] {
+                senders_buf.extend_from_slice(&s.sends);
+            }
         }
         self.sends += self.senders_buf.len() as u64;
-
-        // Phase 2a: adversary deliveries, flattened sender by sender (one
-        // adversary call per sender, in node order — the call order every
-        // seeded adversary's RNG stream depends on).
-        self.extra_flat.clear();
-        self.extra_ranges.clear();
-        {
-            let Executor {
-                network,
-                adversary,
-                assignment,
-                informed,
-                senders_buf,
-                extra_flat,
-                extra_ranges,
-                ..
-            } = self;
-            let ctx = RoundContext {
-                round: t,
-                network,
-                assignment,
-                senders: senders_buf,
-                informed,
-            };
-            for &(u, _) in senders_buf.iter() {
-                let start = extra_flat.len() as u32;
-                adversary.unreliable_deliveries(&ctx, u, extra_flat);
-                let end = extra_flat.len() as u32;
-                debug_assert!(end >= start, "adversary shrank the delivery buffer");
-                for &v in &extra_flat[start as usize..end as usize] {
-                    debug_assert!(
-                        network.unreliable_only_csr().contains(u, v),
-                        "adversary delivered ({u}, {v}) outside G' \\ G"
-                    );
-                }
-                extra_ranges.push((start, end));
-            }
+        for (i, &(u, _)) in self.senders_buf.iter().enumerate() {
+            self.own_idx[u.index()] = i as u32;
         }
 
-        // Phase 2b: two-pass arena fill. First count each node's reaching
-        // transmissions, prefix-sum into per-node ranges, then write
-        // **sender indices** at the per-node cursors — visiting senders in
-        // the same order as the counting pass, so each node's reaching set
-        // keeps the historical per-node order (sender node order; self,
-        // then `G` out-row, then adversary extras).
+        // Phase 2: the adversary. An oblivious adversary's choices are
+        // pure functions of (seed, round, edge or node), so a gather
+        // evaluates them receiver-side inside the shards (phase 3).
+        // Otherwise the adversary is asked sender by sender and its
+        // deliveries are bucketed by receiver.
+        let oracle = if gather {
+            self.adversary.edge_oracle().map(|o| o.round(t))
+        } else {
+            None
+        };
+        if oracle.is_some() {
+            // Grow-only, and only on the first oracle round or when an
+            // epoch swap raised the largest unreliable in-degree: the
+            // resolve loop never grows it.
+            let need = self.network.max_unreliable_in_degree();
+            for s in &mut self.shards {
+                if s.extras.len() < need {
+                    s.extras.resize(need, NONE);
+                }
+            }
+        } else {
+            self.sample_deliveries(t);
+            self.bucket(!gather);
+        }
+
+        // Phase 3: collision resolution, shard-parallel over receivers
+        // (see `resolve_chunk`). It reads at most one message per
+        // receiver; CR4 choices the oracle did not make are deferred as
+        // jobs and resolved on the coordinator, shard by shard — ascending
+        // node order, the adversary's RNG order.
         {
             let Executor {
                 network,
                 config,
-                senders_buf,
-                extra_flat,
-                extra_ranges,
-                arena,
-                arena_off,
-                cursor,
-                own_buf,
-                ..
-            } = self;
-            let reliable = network.reliable_csr();
-            for &(u, msg) in senders_buf.iter() {
-                own_buf[u.index()] = Some(msg);
-            }
-            cursor.fill(0);
-            for (i, &(u, _)) in senders_buf.iter().enumerate() {
-                cursor[u.index()] += 1;
-                for &v in reliable.row(u) {
-                    cursor[v.index()] += 1;
-                }
-                let (s, e) = extra_ranges[i];
-                for &v in &extra_flat[s as usize..e as usize] {
-                    cursor[v.index()] += 1;
-                }
-            }
-            let mut acc = 0u32;
-            arena_off[0] = 0;
-            for v in 0..n {
-                acc += cursor[v];
-                arena_off[v + 1] = acc;
-            }
-            // Dense-round fast path: when *every* node transmitted under
-            // CR2-CR4, no reaching list is ever read — each sender hears
-            // its own message, and collision statistics only need the
-            // per-node counts already in `arena_off`. Skip the entire
-            // write pass (the dominant cost of flooding-style rounds).
-            let lists_needed = senders_buf.len() < n || config.rule == CollisionRule::Cr1;
-            if lists_needed {
-                cursor.copy_from_slice(&arena_off[..n]);
-                // Grow-only: every live slot `< acc` is overwritten through
-                // the cursors below, and reads are bounded by `arena_off`,
-                // so stale entries past `acc` are never observed. This
-                // avoids an O(total) dummy-fill per round.
-                if arena.len() < acc as usize {
-                    arena.resize(acc as usize, 0);
-                }
-                for (i, &(u, _)) in senders_buf.iter().enumerate() {
-                    let idx = i as u32;
-                    // A sender's message always reaches itself and all
-                    // G-out-neighbors; the adversary picks among the rest.
-                    arena[cursor[u.index()] as usize] = idx;
-                    cursor[u.index()] += 1;
-                    for &v in reliable.row(u) {
-                        arena[cursor[v.index()] as usize] = idx;
-                        cursor[v.index()] += 1;
-                    }
-                    let (s, e) = extra_ranges[i];
-                    for &v in &extra_flat[s as usize..e as usize] {
-                        arena[cursor[v.index()] as usize] = idx;
-                        cursor[v.index()] += 1;
-                    }
-                }
-            }
-        }
-
-        // Phase 3: collision resolution per node, on the index arena. This
-        // mirrors `collision::resolve` exactly (the reference oracle still
-        // goes through it; the differential suite pins the two together),
-        // but reads at most one message out of each reaching set — only a
-        // CR4 adversary choice materializes the full set.
-        self.receptions_buf.clear();
-        {
-            let Executor {
-                network,
                 adversary,
                 assignment,
                 informed,
                 senders_buf,
+                own_idx,
                 arena,
                 arena_off,
-                own_buf,
                 receptions_buf,
-                config,
-                physical_collisions,
                 cr4_scratch,
                 roles,
                 faulty_count,
                 byzantine_count,
+                physical_collisions,
+                shards,
                 ..
             } = self;
+            let view = RoundView {
+                senders: senders_buf,
+                own_idx,
+                reliable_in: network.reliable_in_csr(),
+                roles,
+                faulty: *faulty_count > 0,
+                byzantine: *byzantine_count > 0,
+                dense: senders_buf.len() == n,
+                rule: config.rule,
+            };
+            let bucketed = Bucketed {
+                flat: arena,
+                off: arena_off,
+            };
+            match oracle {
+                Some(oracle) => {
+                    let in_csr = network.unreliable_only_in_csr();
+                    let extras = OracleExtras { in_csr, oracle };
+                    resolve_shards::<_, true>(&view, &extras, receptions_buf, plan, shards);
+                }
+                None if gather => {
+                    resolve_shards::<_, true>(&view, &bucketed, receptions_buf, plan, shards);
+                }
+                None => {
+                    resolve_shards::<_, false>(&view, &bucketed, receptions_buf, plan, shards);
+                }
+            }
             let ctx = RoundContext {
                 round: t,
                 network,
@@ -790,97 +776,34 @@ impl<'a> Executor<'a> {
                 senders: senders_buf,
                 informed,
             };
-            // Per-receiver transmission content. `senders_buf` holds one
-            // *representative* message per sender (which is also what the
-            // trace records); a Byzantine sender's actual content for a
-            // given receiver is derived from its role on delivery. While
-            // `byzantine_count == 0` — the common case — every sender is a
-            // shared channel and the derivation is skipped entirely.
-            let byzantine = *byzantine_count > 0;
-            let msg_for = |idx: u32, receiver: usize| {
-                let (u, m) = senders_buf[idx as usize];
-                if byzantine {
-                    roles[u.index()].content_for(m, NodeId::from_index(receiver))
-                } else {
-                    m
-                }
-            };
-            let faulty = *faulty_count > 0;
-            for node in 0..n {
-                // Faulty radios resolve to silence: a crashed node has no
-                // functioning receiver and a jammer/spammer never listens
-                // — no collision is counted and no CR4 choice is drawn at
-                // such a node (the adversary RNG stream skips it).
-                if faulty && !roles[node].is_correct() {
-                    receptions_buf.push(Reception::Silence);
-                    continue;
-                }
-                // Reaching-set length from the offsets; the index list
-                // itself is sliced lazily — after a dense-round fast path
-                // (write pass skipped) only the length is valid, and only
-                // the length is ever needed.
-                let (start, end) = (arena_off[node] as usize, arena_off[node + 1] as usize);
-                let len = end - start;
-                // Fast path for the common idle node: nothing reached it
-                // and it did not send, so every rule resolves to silence.
-                let Some(own) = own_buf[node] else {
-                    let reception = match len {
-                        0 => Reception::Silence,
-                        1 => Reception::Message(msg_for(arena[start], node)),
-                        _ => {
-                            *physical_collisions += 1;
-                            match config.rule {
-                                CollisionRule::Cr1 | CollisionRule::Cr2 => Reception::Collision,
-                                CollisionRule::Cr3 => Reception::Silence,
-                                CollisionRule::Cr4 => {
-                                    cr4_scratch.clear();
-                                    cr4_scratch.extend(
-                                        arena[start..end].iter().map(|&i| msg_for(i, node)),
-                                    );
-                                    match adversary.resolve_cr4(
-                                        &ctx,
-                                        NodeId::from_index(node),
-                                        cr4_scratch,
-                                    ) {
-                                        collision::Cr4Resolution::Silence => Reception::Silence,
-                                        collision::Cr4Resolution::Deliver(i) => {
-                                            assert!(
-                                                i < cr4_scratch.len(),
-                                                "CR4 delivery index out of bounds"
-                                            );
-                                            Reception::Message(cr4_scratch[i])
-                                        }
-                                    }
-                                }
+            for scratch in shards.iter() {
+                *physical_collisions += scratch.collisions;
+                for &(v, start, end) in &scratch.cr4_jobs {
+                    let node = NodeId::from_index(v as usize);
+                    let reaching = &scratch.cr4_idx[start as usize..end as usize];
+                    cr4_scratch.clear();
+                    cr4_scratch.extend(reaching.iter().map(|&idx| view.content(idx, node)));
+                    receptions_buf[v as usize] =
+                        match adversary.resolve_cr4(&ctx, node, cr4_scratch) {
+                            Cr4Resolution::Silence => Reception::Silence,
+                            Cr4Resolution::Deliver(i) => {
+                                assert!(i < cr4_scratch.len(), "CR4 delivery index out of bounds");
+                                Reception::Message(cr4_scratch[i])
                             }
-                        }
-                    };
-                    receptions_buf.push(reception);
-                    continue;
-                };
-                // Senders: own message always reaches them; CR1 senders
-                // detect collisions, CR2-CR4 senders hear themselves.
-                if len >= 2 {
-                    *physical_collisions += 1;
+                        };
                 }
-                let reception = match config.rule {
-                    CollisionRule::Cr1 => match len {
-                        0 => unreachable!("a sender's own message always reaches it"),
-                        1 => Reception::Message(msg_for(arena[start], node)),
-                        _ => Reception::Collision,
-                    },
-                    _ => Reception::Message(own),
-                };
-                receptions_buf.push(reception);
             }
         }
 
-        // Phase 4: batched deliveries/activations, then informed-set
-        // bookkeeping (process-free, so splitting it off the process sweep
-        // changes no observable order). Faulty nodes got `Silence` in
-        // phase 3 (so the bookkeeping loop skips them naturally); the
-        // masked receive sweep additionally keeps their frozen automata
-        // from observing even that silence.
+        // Phase 4: deliveries/activations fused with the informed/known
+        // bookkeeping, per shard (word-aligned boundaries split the
+        // informed bitset into disjoint whole words). Faulty nodes got
+        // `Silence` in phase 3, so the bookkeeping skips them naturally;
+        // the masked receive sweep also keeps their frozen automata from
+        // observing even that silence. Shard 0 pushes straight to
+        // `newly_informed`.
+        // analyzer: allow(hot-alloc, reason = "newly_informed is returned by value in RoundSummary; it stays len 0 (no heap) except on the bounded rounds where nodes first become informed, at most n pushes over a whole run")
+        let mut newly_informed = Vec::new();
         {
             let Executor {
                 procs,
@@ -888,29 +811,66 @@ impl<'a> Executor<'a> {
                 receptions_buf,
                 roles,
                 faulty_count,
+                known,
+                first_receive,
+                informed,
+                real,
+                shards,
                 ..
             } = self;
             let mask = (*faulty_count > 0).then_some(roles.as_slice());
-            procs.receive_all_traced(t, active_from, mask, receptions_buf, sink);
-        }
-        // analyzer: allow(hot-alloc, reason = "newly_informed is returned by value in RoundSummary; it stays len 0 (no heap) except on the bounded rounds where nodes first become informed, at most n pushes over a whole run")
-        let mut newly_informed = Vec::new();
-        let real = self.real;
-        for node in 0..n {
-            let Some(m) = self.receptions_buf[node].message() else {
-                continue;
-            };
-            self.known[node].union_with(m.payloads);
-            // Only environment-introduced payloads inform: spammer junk is
-            // absorbed into the known record above but cannot flip the
-            // informed bit (see the `real` field).
-            if m.payloads.intersects(real) && self.informed.insert(node) {
-                self.first_receive[node] = Some(t);
-                newly_informed.push(NodeId::from_index(node));
+            let (real, chunk) = (*real, plan.chunk());
+            for s in &mut shards[1..] {
+                s.newly.clear();
+            }
+            let newly = std::iter::once(&mut newly_informed)
+                .chain(shards[1..].iter_mut().map(|s| &mut s.newly));
+            let absorbs = known
+                .chunks_mut(chunk)
+                .zip(first_receive.chunks_mut(chunk))
+                .zip(informed.words_mut().chunks_mut(chunk / 64))
+                .zip(newly)
+                .map(
+                    |(((known, first_receive), informed_words), newly)| AbsorbPart {
+                        known,
+                        first_receive,
+                        informed_words,
+                        newly,
+                        real,
+                        round: t,
+                    },
+                );
+            procs.receive_sweep(t, active_from, mask, receptions_buf, plan, absorbs);
+            for s in &shards[1..] {
+                newly_informed.extend_from_slice(&s.newly);
             }
         }
 
         self.round = t;
+        if S::ENABLED {
+            for &(node, msg) in &self.senders_buf {
+                sink.emit(TraceEvent::Transmit {
+                    round: t,
+                    node,
+                    face_parity: msg.payloads.len() % 2 == 1,
+                });
+            }
+            for (node, r) in self.receptions_buf.iter().enumerate() {
+                match r {
+                    Reception::Message(m) => sink.emit(TraceEvent::Reception {
+                        round: t,
+                        node: NodeId::from_index(node),
+                        sender: m.sender,
+                        payloads: m.payloads,
+                    }),
+                    Reception::Collision => sink.emit(TraceEvent::Collision {
+                        round: t,
+                        node: NodeId::from_index(node),
+                    }),
+                    Reception::Silence => {}
+                }
+            }
+        }
         {
             let Executor {
                 trace,
@@ -930,6 +890,113 @@ impl<'a> Executor<'a> {
             senders: self.senders_buf.len(),
             newly_informed,
             complete: self.is_complete(),
+        }
+    }
+
+    /// Phase 2 without an oracle: one
+    /// [`Adversary::unreliable_deliveries`] call per sender, in node order
+    /// — the call order every seeded adversary's RNG stream depends on —
+    /// flattened sender by sender into `extra_flat`.
+    fn sample_deliveries(&mut self, t: u64) {
+        let Executor {
+            network,
+            adversary,
+            assignment,
+            informed,
+            senders_buf,
+            extra_flat,
+            extra_ranges,
+            ..
+        } = self;
+        extra_flat.clear();
+        extra_ranges.clear();
+        let ctx = RoundContext {
+            round: t,
+            network,
+            assignment,
+            senders: senders_buf,
+            informed,
+        };
+        for &(u, _) in senders_buf.iter() {
+            let start = extra_flat.len() as u32;
+            adversary.unreliable_deliveries(&ctx, u, extra_flat);
+            let end = extra_flat.len() as u32;
+            debug_assert!(end >= start, "adversary shrank the delivery buffer");
+            for &v in &extra_flat[start as usize..end as usize] {
+                debug_assert!(
+                    network.unreliable_only_csr().contains(u, v),
+                    "adversary delivered ({u}, {v}) outside G' \\ G"
+                );
+            }
+            extra_ranges.push((start, end));
+        }
+    }
+
+    /// Buckets this round's reachers by receiver into `arena` /
+    /// `arena_off`: every sender's adversary extras, plus its `G` out-row
+    /// when `scatter` (the one-shard reaching-set source; a gather reads
+    /// `G` from the in-rows instead). A stable two-pass counting sort
+    /// whose passes visit senders in ascending index order, so each bucket
+    /// holds ascending sender indices. A sender's own transmission is
+    /// never bucketed.
+    fn bucket(&mut self, scatter: bool) {
+        let n = self.network.len();
+        let Executor {
+            network,
+            senders_buf,
+            extra_flat,
+            extra_ranges,
+            arena,
+            arena_off,
+            cursor,
+            ..
+        } = self;
+        let reliable = network.reliable_csr();
+        cursor.fill(0);
+        for (i, &(u, _)) in senders_buf.iter().enumerate() {
+            if scatter {
+                for &v in reliable.row(u) {
+                    cursor[v.index()] += 1;
+                }
+            }
+            let (s, e) = extra_ranges[i];
+            for &v in &extra_flat[s as usize..e as usize] {
+                cursor[v.index()] += 1;
+            }
+        }
+        let mut acc = 0u32;
+        arena_off[0] = 0;
+        for v in 0..n {
+            acc += cursor[v];
+            arena_off[v + 1] = acc;
+        }
+        // Dense-round fast path: when every node transmitted, only senders
+        // resolve, and a sender reads its bucket's size alone. Skip the
+        // write pass (the dominant cost of flooding-style rounds).
+        if senders_buf.len() == n {
+            return;
+        }
+        cursor.copy_from_slice(&arena_off[..n]);
+        // Grow-only: every live slot `< acc` is overwritten through the
+        // cursors below, and reads are bounded by `arena_off`, so stale
+        // entries past `acc` are never observed. This avoids an O(total)
+        // dummy-fill per round.
+        if arena.len() < acc as usize {
+            arena.resize(acc as usize, 0);
+        }
+        for (i, &(u, _)) in senders_buf.iter().enumerate() {
+            let idx = i as u32;
+            if scatter {
+                for &v in reliable.row(u) {
+                    arena[cursor[v.index()] as usize] = idx;
+                    cursor[v.index()] += 1;
+                }
+            }
+            let (s, e) = extra_ranges[i];
+            for &v in &extra_flat[s as usize..e as usize] {
+                arena[cursor[v.index()] as usize] = idx;
+                cursor[v.index()] += 1;
+            }
         }
     }
 
@@ -996,19 +1063,21 @@ impl Clone for Executor<'_> {
             standing_tx: self.standing_tx.clone(),
             faulty_count: self.faulty_count,
             byzantine_count: self.byzantine_count,
+            plan: self.plan,
             round: self.round,
             sends: self.sends,
             physical_collisions: self.physical_collisions,
             trace: self.trace.clone(),
             senders_buf: self.senders_buf.clone(),
+            own_idx: self.own_idx.clone(),
             receptions_buf: self.receptions_buf.clone(),
             extra_flat: self.extra_flat.clone(),
             extra_ranges: self.extra_ranges.clone(),
             arena: self.arena.clone(),
             arena_off: self.arena_off.clone(),
             cursor: self.cursor.clone(),
-            own_buf: self.own_buf.clone(),
             cr4_scratch: self.cr4_scratch.clone(),
+            shards: self.shards.clone(),
         }
     }
 }

@@ -12,8 +12,8 @@
 //! * [`ProcessTable`] — the executor's node-indexed process store. A
 //!   *homogeneous* table (all slots the same built-in variant — the common
 //!   case: every algorithm factory builds `n` copies of one automaton) is
-//!   stored as a single typed `Vec`, so [`ProcessTable::transmit_all`] and
-//!   [`ProcessTable::receive_all`] match on the variant **once per round**
+//!   stored as a single typed `Vec`, so [`ProcessTable::transmit_sweep`] and
+//!   [`ProcessTable::receive_sweep`] match on the variant **once per round**
 //!   and run a monomorphized, fully inlinable loop over contiguous state.
 //!   Mixed or custom populations fall back to a `Vec<ProcessSlot>` loop
 //!   (per-element match; `Custom` still pays virtual dispatch).
@@ -22,7 +22,7 @@
 //! arguments, so outcomes are bit-identical to the boxed representation —
 //! the enum-vs-boxed differential suites enforce this.
 
-use dualgraph_net::NodeId;
+use dualgraph_net::{NodeId, ShardPlan};
 
 use crate::adversary::Assignment;
 use crate::automata::{
@@ -35,7 +35,7 @@ use crate::message::{Message, PayloadId, ProcessId};
 use crate::payload::PayloadSet;
 use crate::process::{ActivationCause, ChatterProcess, Flooder, Process, SilentProcess};
 use crate::quorum::QuorumProcess;
-use crate::trace::{NullSink, TraceEvent, TraceSink};
+use crate::shard::for_each_chunk;
 
 /// One process, stored either inline (built-in automata) or boxed
 /// (anything else).
@@ -411,6 +411,8 @@ impl ProcessTable {
     /// spammers contribute their standing message instead — in the same
     /// node-order position a process transmission would occupy, which the
     /// adversary call order and the reaching arena depend on.
+    ///
+    /// The one-shard entry to [`ProcessTable::transmit_sweep`].
     pub fn transmit_all(
         &mut self,
         round: u64,
@@ -418,84 +420,33 @@ impl ProcessTable {
         faults: Option<FaultView<'_>>,
         out: &mut Vec<(NodeId, Message)>,
     ) {
-        self.transmit_all_traced(round, active_from, faults, out, &mut NullSink);
+        let plan = ShardPlan::new(self.len(), 1);
+        self.transmit_sweep(round, active_from, faults, plan, std::iter::once(out));
     }
 
-    /// [`ProcessTable::transmit_all`] with an observability hook: emits one
-    /// [`TraceEvent::Transmit`] per appended transmission, in the same
-    /// ascending node order the sweep produced them. The emission loop is
-    /// guarded by [`TraceSink::ENABLED`], so the [`NullSink`]
-    /// instantiation — which [`ProcessTable::transmit_all`] delegates to —
-    /// is the untraced sweep, machine code unchanged.
-    pub fn transmit_all_traced<S: TraceSink>(
-        &mut self,
-        round: u64,
-        active_from: &[Option<u64>],
-        faults: Option<FaultView<'_>>,
-        out: &mut Vec<(NodeId, Message)>,
-        sink: &mut S,
-    ) {
-        let emitted_from = out.len();
-        each_repr!(&mut self.repr, v => transmit_chunk(v, 0, round, active_from, faults, out));
-        if S::ENABLED {
-            for &(node, msg) in &out[emitted_from..] {
-                sink.emit(TraceEvent::Transmit {
-                    round,
-                    node,
-                    face_parity: msg.payloads.len() % 2 == 1,
-                });
-            }
-        }
-    }
-
-    /// Shard-parallel phase-1 send decisions: node chunk `s` (of `chunk`
-    /// nodes, the last possibly shorter) sweeps into `outs[s]` (cleared
-    /// here). Each chunk runs [`transmit_chunk`]'s loop — the *same* body
-    /// the sequential sweep runs over the whole table — on a scoped worker
-    /// thread (chunk 0 inline on the caller), so concatenating `outs` in
-    /// shard order reproduces the sequential sweep's ascending-node output
-    /// bit for bit, whatever the chunk size.
-    ///
-    /// Trace emission is the caller's job (from the merged buffer), which
-    /// keeps worker threads sink-free — the zero-overhead-when-off
-    /// contract needs no per-shard sinks.
+    /// [`ProcessTable::transmit_all`] over the node chunks of `plan`:
+    /// chunk `s` appends its transmissions to the `s`-th buffer of `outs`.
+    /// Each chunk runs `transmit_chunk`'s loop — the *same* body for any
+    /// chunk size — so appending the buffers in order reproduces the
+    /// one-shard sweep's ascending-node output bit for bit. Chunk 0 runs
+    /// on the caller's thread, the others on scoped worker threads; a
+    /// one-shard plan spawns none.
     ///
     /// # Panics
     ///
-    /// Panics if `chunk == 0` or `outs` has fewer slots than chunks.
-    pub fn transmit_all_sharded(
+    /// Panics if `plan` covers a different node count or `outs` has fewer
+    /// buffers than the plan has shards.
+    pub fn transmit_sweep<'o>(
         &mut self,
         round: u64,
         active_from: &[Option<u64>],
         faults: Option<FaultView<'_>>,
-        chunk: usize,
-        outs: &mut [Vec<(NodeId, Message)>],
+        plan: ShardPlan,
+        outs: impl IntoIterator<Item = &'o mut Vec<(NodeId, Message)>>,
     ) {
-        assert!(chunk > 0, "transmit_all_sharded needs a positive chunk");
-        assert!(
-            outs.len() >= self.len().div_ceil(chunk),
-            "transmit_all_sharded: {} output slots for {} chunks",
-            outs.len(),
-            self.len().div_ceil(chunk)
-        );
-        each_repr!(&mut self.repr, v => {
-            std::thread::scope(|scope| {
-                let mut parts = v.chunks_mut(chunk).zip(outs.iter_mut()).enumerate();
-                let first = parts.next();
-                for (s, (procs, out)) in parts {
-                    out.clear();
-                    scope.spawn(move || {
-                        transmit_chunk(procs, s * chunk, round, active_from, faults, out);
-                    });
-                }
-                // Chunk 0 runs inline on the coordinator; the scope joins
-                // the rest on exit (no handle collection, no allocation).
-                if let Some((_, (procs, out))) = first {
-                    out.clear();
-                    transmit_chunk(procs, 0, round, active_from, faults, out);
-                }
-            });
-        });
+        each_repr!(&mut self.repr, v => for_each_chunk(v, plan, outs, |procs, base, out| {
+            transmit_chunk(procs, base, round, active_from, faults, out);
+        }));
     }
 
     /// Phase-4 batched end-of-round deliveries for global round `round`,
@@ -507,6 +458,9 @@ impl ProcessTable {
     /// correct): non-correct nodes are skipped entirely — their frozen
     /// automata observe nothing, not even silence, and cannot be
     /// activated while faulty.
+    ///
+    /// The one-shard entry to [`ProcessTable::receive_sweep`], with no
+    /// bookkeeping.
     pub fn receive_all(
         &mut self,
         round: u64,
@@ -514,113 +468,68 @@ impl ProcessTable {
         roles: Option<&[NodeRole]>,
         receptions: &[Reception],
     ) {
-        self.receive_all_traced(round, active_from, roles, receptions, &mut NullSink);
+        let plan = ShardPlan::new(self.len(), 1);
+        self.receive_sweep(
+            round,
+            active_from,
+            roles,
+            receptions,
+            plan,
+            std::iter::once(NoAbsorb),
+        );
     }
 
-    /// [`ProcessTable::receive_all`] with an observability hook: emits one
-    /// [`TraceEvent::Reception`] or [`TraceEvent::Collision`] per node (in
-    /// ascending node order; silence emits nothing — faulty radios were
-    /// resolved to silence in phase 3, so they emit nothing here either).
-    /// Guarded by [`TraceSink::ENABLED`] exactly like
-    /// [`ProcessTable::transmit_all_traced`].
-    pub fn receive_all_traced<S: TraceSink>(
-        &mut self,
-        round: u64,
-        active_from: &mut [Option<u64>],
-        roles: Option<&[NodeRole]>,
-        receptions: &[Reception],
-        sink: &mut S,
-    ) {
-        each_repr!(&mut self.repr, v => receive_chunk(v, active_from, 0, round, roles, receptions));
-        if S::ENABLED {
-            for (node, r) in receptions.iter().enumerate() {
-                match r {
-                    Reception::Message(m) => sink.emit(TraceEvent::Reception {
-                        round,
-                        node: NodeId::from_index(node),
-                        sender: m.sender,
-                        payloads: m.payloads,
-                    }),
-                    Reception::Collision => sink.emit(TraceEvent::Collision {
-                        round,
-                        node: NodeId::from_index(node),
-                    }),
-                    Reception::Silence => {}
-                }
-            }
-        }
-    }
-
-    /// Shard-parallel phase-4 deliveries **fused with per-shard
-    /// bookkeeping**: node chunk `s` runs [`receive_chunk`]'s loop — the
-    /// same body the sequential sweep runs — then immediately hands its
-    /// node range to `absorbs[s]` (the informed/known bookkeeping of the
-    /// sharded executor), all on the same scoped worker thread (chunk 0
-    /// inline on the caller). `active_from` splits into the same disjoint
-    /// chunks as the table, so activation writes never race.
-    ///
-    /// Trace emission is the caller's job (from the shared reception
-    /// buffer), exactly as in [`ProcessTable::transmit_all_sharded`].
+    /// [`ProcessTable::receive_all`] over the node chunks of `plan`,
+    /// **fused with bookkeeping**: chunk `s` runs `receive_chunk`'s loop,
+    /// then hands its node range to the `s`-th item of `absorbs` (the
+    /// executor's informed/known bookkeeping), both on the same thread —
+    /// chunk 0 on the caller's, the others on scoped worker threads; a
+    /// one-shard plan spawns none. `active_from` splits into the same
+    /// disjoint chunks as the table, so activation writes never race.
     ///
     /// # Panics
     ///
-    /// Panics if `chunk == 0` or `absorbs` has fewer slots than chunks.
-    pub fn receive_all_sharded<A: ShardAbsorb>(
+    /// Panics if `plan` covers a different node count or `absorbs` has
+    /// fewer items than the plan has shards.
+    pub fn receive_sweep<A: ShardAbsorb>(
         &mut self,
         round: u64,
         active_from: &mut [Option<u64>],
         roles: Option<&[NodeRole]>,
         receptions: &[Reception],
-        chunk: usize,
-        absorbs: &mut [A],
+        plan: ShardPlan,
+        absorbs: impl IntoIterator<Item = A>,
     ) {
-        assert!(chunk > 0, "receive_all_sharded needs a positive chunk");
-        assert!(
-            absorbs.len() >= self.len().div_ceil(chunk),
-            "receive_all_sharded: {} absorb slots for {} chunks",
-            absorbs.len(),
-            self.len().div_ceil(chunk)
-        );
-        each_repr!(&mut self.repr, v => {
-            std::thread::scope(|scope| {
-                let mut parts = v
-                    .chunks_mut(chunk)
-                    .zip(active_from.chunks_mut(chunk))
-                    .zip(absorbs.iter_mut())
-                    .enumerate();
-                let first = parts.next();
-                for (s, ((procs, af), a)) in parts {
-                    scope.spawn(move || {
-                        let len = procs.len();
-                        receive_chunk(procs, af, s * chunk, round, roles, receptions);
-                        a.absorb(s * chunk, len, receptions);
-                    });
-                }
-                if let Some((_, ((procs, af), a))) = first {
-                    let len = procs.len();
-                    receive_chunk(procs, af, 0, round, roles, receptions);
-                    a.absorb(0, len, receptions);
-                }
-            });
-        });
+        let parts = active_from.chunks_mut(plan.chunk()).zip(absorbs);
+        each_repr!(&mut self.repr, v => for_each_chunk(v, plan, parts, |procs, base, (af, mut a)| {
+            receive_chunk(procs, af, base, round, roles, receptions);
+            a.absorb(base, procs.len(), receptions);
+        }));
     }
 }
 
-/// Per-shard post-receive bookkeeping hook of
-/// [`ProcessTable::receive_all_sharded`]: invoked once per chunk, on the
-/// chunk's worker thread, after every process in `base..base + len` has
-/// received. Implementations hold the shard's *disjoint* mutable state
-/// (known-set slices, informed bitset words, first-receive records), so no
+/// Per-chunk post-receive bookkeeping hook of
+/// [`ProcessTable::receive_sweep`]: invoked once per chunk, on the chunk's
+/// thread, after every process in `base..base + len` has received.
+/// Implementations hold the chunk's *disjoint* mutable state (known-set
+/// slices, informed bitset words, first-receive records), so no
 /// synchronization is needed.
 pub trait ShardAbsorb: Send {
     /// Absorbs the resolved receptions of nodes `base..base + len`.
     fn absorb(&mut self, base: usize, len: usize, receptions: &[Reception]);
 }
 
+/// The bookkeeping of a bare [`ProcessTable::receive_all`]: none.
+struct NoAbsorb;
+
+impl ShardAbsorb for NoAbsorb {
+    fn absorb(&mut self, _base: usize, _len: usize, _receptions: &[Reception]) {}
+}
+
 /// The phase-1 send-decision loop over one contiguous node chunk:
-/// `procs[i]` is node `base + i`. The sequential sweep is the `base = 0`
-/// whole-table instantiation; the sharded sweep runs one call per chunk.
-/// Keeping a single body is what makes "sharded ≡ sequential" an identity
+/// `procs[i]` is node `base + i`. The one-shard sweep is the `base = 0`
+/// whole-table instantiation; a sharded sweep runs one call per chunk.
+/// Keeping a single body is what makes "sharded ≡ one shard" an identity
 /// rather than a proof obligation about two loops.
 fn transmit_chunk<P: Process>(
     procs: &mut [P],

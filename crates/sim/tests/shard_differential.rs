@@ -1,50 +1,58 @@
-//! Shard differential suite: the sharded round engine checked engine
-//! against engine.
+//! Shard differential suite: the round pipeline checked across shard
+//! counts.
 //!
-//! The sharded engine ([`ShardedExecutor`]) re-derives every per-node
-//! result of the sequential round loop from shard-local state — the
-//! transmit sweep from per-chunk buffers, collision resolution from the
-//! transpose CSR instead of sender-row scatter, the informed/known
-//! bookkeeping from word-aligned bitset windows — so its correctness
-//! contract is *bit-identity*, not statistical agreement. This suite pins
-//! that contract across every axis that could plausibly break it:
+//! Every round runs through one pipeline, `Executor::step_traced`, over
+//! the executor's shard plan ([`ShardedExecutor::new`] sets it). The shard
+//! count picks where a receiver's reaching set comes from: one shard
+//! *scatters* it from the senders' rows, several shards *gather* it from
+//! the transposed CSRs, with the informed/known bookkeeping split into
+//! word-aligned bitset windows. So the correctness contract is
+//! *bit-identity* across worker counts, not statistical agreement. This
+//! suite pins that contract across every axis that could plausibly break
+//! it:
 //!
-//! 1. **three-engine agreement** — sharded (worker counts 1, 2, and 7),
-//!    sequential, and the naive [`ReferenceExecutor`] oracle agree on
-//!    every round summary, known-payload record, and outcome, across
-//!    random topologies × the adversary menu × CR1–CR4 × both start
-//!    rules. Worker count 1 additionally proves the delegation path *is*
-//!    the pre-refactor sequential engine. The menu covers both resolve
-//!    paths: oblivious adversaries (and the wrappers that forward their
+//! 1. **engine agreement** — worker counts 1, 2, and 7, the plain
+//!    executor, and the naive [`ReferenceExecutor`] oracle agree on every
+//!    round summary, known-payload record, and outcome, across random
+//!    topologies × the adversary menu × CR1–CR4 × both start rules.
+//!    Worker count 1 is the plain executor's own one-shard plan: the
+//!    scatter source. The menu covers both gather extras sources:
+//!    oblivious adversaries (and the wrappers that forward their
 //!    [`EdgeOracle`][dualgraph_sim::EdgeOracle]) are evaluated inside the
 //!    shards, the stateful and adaptive ones on the coordinator. A
 //!    directed topology makes the `G′ ∖ G` in-rows a stored transpose
 //!    rather than the out-CSR itself.
 //! 2. **fault and Byzantine plans** — crash/recovery, jammers,
 //!    equivocators, and forgers ride churn schedules while the engines
-//!    run side by side: the sharded resolve must preserve the
+//!    run side by side: every resolve path must preserve the
 //!    faulty-radio gate (no collision counted, no CR4 draw) and the
 //!    per-receiver Byzantine content path.
 //! 3. **trace streams** — `step_traced` emits the identical event
 //!    sequence (`RoundStart`, `Transmit` ascending, then
 //!    `Reception`/`Collision` ascending) from the coordinator, even
 //!    though the sharded sweeps themselves never see a sink.
+//! 4. **sparse senders** — the flooding populations above turn dense
+//!    within a few rounds; a uniform-probability population transmitting
+//!    with probability 1/16 keeps most receivers hearing zero or one
+//!    sender, the regime where scatter and gather do the most different
+//!    work.
 //!
 //! Populations are chosen above one shard chunk (64 nodes) so the worker
 //! counts genuinely shard; `plan().shards()` is asserted to keep the
 //! suite honest if the alignment policy ever changes.
 
 use dualgraph_net::{generators, DualGraph, NodeId, TopologySchedule};
+use dualgraph_sim::automata::UniformProcess;
 use dualgraph_sim::rng::{derive_seed, splitmix64};
 use dualgraph_sim::{
     Adversary, BurstyDelivery, CollisionRule, CollisionSeeker, DynamicExecutor, DynamicsCursor,
     Executor, ExecutorConfig, FaultPlan, Flooder, FullDelivery, PayloadId, PayloadSet, ProcessId,
-    RandomDelivery, ReferenceExecutor, ReliableOnly, RoundSummary, ShardedExecutor, StartRule,
-    TraceEvent, TraceLevel, TraceSink, WithAssignment, WithRandomCr4,
+    ProcessSlot, RandomDelivery, ReferenceExecutor, ReliableOnly, RoundSummary, ShardedExecutor,
+    StartRule, TraceEvent, TraceLevel, TraceSink, WithAssignment, WithRandomCr4,
 };
 
-/// Worker counts under test: the delegating single-shard path, an even
-/// split, and an uneven count that leaves the last shard short.
+/// Worker counts under test: the one-shard (scatter) plan, an even split,
+/// and an uneven count that leaves the last shard short.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
 
 /// The adversary menu; every engine under comparison gets its own
@@ -253,7 +261,7 @@ fn sharded_sequential_and_reference_agree() {
                         ShardedExecutor::new(exec, w)
                     })
                     .collect();
-                assert_eq!(sharded[0].plan().shards(), 1, "workers=1 must delegate");
+                assert_eq!(sharded[0].plan().shards(), 1, "workers=1 must not shard");
                 assert!(sharded[1].plan().shards() > 1, "workers=2 must shard");
                 assert!(
                     sharded[2].plan().shards() > sharded[1].plan().shards(),
@@ -404,10 +412,10 @@ fn sharded_trace_streams_are_identical() {
     }
 }
 
-/// Interleaving sharded and sequential stepping on the *same* engine
-/// (via `DerefMut`) stays bit-identical to a pure sequential run: the
-/// wrapper's sender-index bookkeeping must survive rounds it did not
-/// execute itself.
+/// Switching the shard plan mid-run — and with it the reaching-set
+/// source, scatter on one shard, gather on two — stays bit-identical to a
+/// plain run: the sender-index map and scratch must survive rounds the
+/// other plan executed.
 #[test]
 fn interleaved_sequential_and_sharded_steps_agree() {
     let n = 150;
@@ -420,20 +428,100 @@ fn interleaved_sequential_and_sharded_steps_agree() {
     };
     let make_adv = || Box::new(RandomDelivery::new(0.4, 23)) as Box<dyn Adversary>;
     let mut sequential = Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
-    let exec = Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
-    let mut mixed = ShardedExecutor::new(exec, 2);
+    let mut mixed = Executor::from_slots(&net, Flooder::slots(n), make_adv(), config).unwrap();
     for round in 0..24 {
         let ss = sequential.step();
-        // Alternate: even rounds sharded, odd rounds through the inner
-        // sequential engine directly.
+        // Alternate: even rounds on two shards, odd rounds on one.
         let sm = if round % 2 == 0 {
-            mixed.step()
+            let mut sharded = ShardedExecutor::new(mixed, 2);
+            assert_eq!(sharded.plan().shards(), 2);
+            let summary = sharded.step();
+            mixed = sharded.into_inner();
+            summary
         } else {
-            use std::ops::DerefMut;
-            mixed.deref_mut().step()
+            mixed.step()
         };
         assert_eq!(ss, sm, "round {round}");
     }
     assert_eq!(sequential.known_payloads(), mixed.known_payloads());
     assert_eq!(sequential.outcome(), mixed.outcome());
+}
+
+/// A uniform-probability population: every informed node transmits with
+/// probability `p` per round.
+fn uniform_slots(n: usize, p: f64, seed: u64) -> Vec<ProcessSlot> {
+    (0..n)
+        .map(|i| {
+            ProcessSlot::Uniform(UniformProcess::new(
+                ProcessId::from_index(i),
+                p,
+                derive_seed(seed, i as u64),
+            ))
+        })
+        .collect()
+}
+
+/// Property 4: sparse senders. Worker counts 1, 2, and 7 agree with the
+/// reference oracle round for round on a population transmitting with
+/// probability 1/16, across topologies × the menu × CR1–CR4 × both start
+/// rules. Most receivers hear zero or one sender each round, so the
+/// scatter arena and the gather walk disagree on which nodes they touch
+/// but must agree on every reception.
+#[test]
+fn sparse_senders_agree_with_reference() {
+    const P: f64 = 1.0 / 16.0;
+    const ROUNDS: usize = 60;
+    let nets = [
+        ("er", 23u64, random_net(23, 200)),
+        ("directed", 47, directed_net(47, 150)),
+    ];
+    for (kind, net_seed, net) in &nets {
+        let n = net.len();
+        for config in configs() {
+            for (name, make_adv) in adversary_menu(derive_seed(151, *net_seed), n) {
+                let label = format!(
+                    "sparse {kind} n={n} {name} {:?} {:?}",
+                    config.rule, config.start
+                );
+                let slots = || uniform_slots(n, P, derive_seed(7, *net_seed));
+                let boxed = slots().into_iter().map(ProcessSlot::into_boxed).collect();
+                let mut reference = ReferenceExecutor::new(net, boxed, make_adv(), config).unwrap();
+                let mut sharded: Vec<ShardedExecutor<'_>> = WORKER_COUNTS
+                    .iter()
+                    .map(|&w| {
+                        let exec = Executor::from_slots(net, slots(), make_adv(), config).unwrap();
+                        ShardedExecutor::new(exec, w)
+                    })
+                    .collect();
+                assert_eq!(sharded[0].plan().shards(), 1, "workers=1 must not shard");
+                assert!(sharded[1].plan().shards() > 1, "workers=2 must shard");
+                let mut senders = 0;
+                for round in 0..ROUNDS {
+                    let sr = reference.step();
+                    senders += sr.senders;
+                    for (w, shard) in WORKER_COUNTS.iter().zip(sharded.iter_mut()) {
+                        let sh = shard.step();
+                        assert_eq!(sr, sh, "{label}: reference vs workers={w}, round {round}");
+                    }
+                }
+                assert!(senders > 0, "{label}: the population must transmit");
+                assert!(
+                    senders * 8 < n * ROUNDS,
+                    "{label}: {senders} sends in {ROUNDS} rounds is not sparse"
+                );
+                for (w, shard) in WORKER_COUNTS.iter().zip(sharded.iter()) {
+                    assert_eq!(
+                        reference.known_payloads(),
+                        shard.known_payloads(),
+                        "{label}: known records, workers={w}"
+                    );
+                    assert_eq!(
+                        reference.outcome(),
+                        shard.outcome(),
+                        "{label}: outcome, workers={w}"
+                    );
+                }
+            }
+        }
+    }
 }
